@@ -188,12 +188,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow for large |x|."""
+    x = np.asarray(x, dtype=np.float64)
+    ex = np.exp(-np.abs(x))     # exp(-x) where x >= 0, exp(x) below
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -246,8 +244,13 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     def backward(g, out):
         if table.requires_grad:
+            # sum each id's rows in order of appearance, one segment per id
+            order = np.argsort(zero_based, kind="stable")
+            ids = zero_based[order]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
             d = np.zeros_like(table.data)
-            np.add.at(d, zero_based, g)
+            if ids.size:
+                d[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
             table.accumulate_grad(d)
 
     return _node(out_data, "gather_rows", (table,), backward)
@@ -366,6 +369,180 @@ def memory_write(mem: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor) -> Tens
     return _node(out3.reshape(B * N, d), "memory_write", (mem, w, erase, add_vec), backward)
 
 
+# ---------------------------------------------------------------------------
+# fused recurrences over the scored cells of a padded batch
+#
+# A scored cell s sits at batch row bi[s] and time step ti[s].  Every batch row
+# starts from the same initial state, runs its cells in time order, and keeps
+# its state across unscored cells.  The scans work on one time step at a time
+# over all rows that have a cell there; cells may come in any order.
+
+
+def _time_blocks(bi, ti, batch_rows, steps):
+    """Return (order, blocks): ``order`` sorts the cells by time, then row, and
+    each occupied time step gets a block (lo, hi, rows) whose cells are
+    ``order[lo:hi]`` and whose batch rows are ``rows`` (None when every row
+    has a cell there)."""
+    bi = np.asarray(bi, dtype=np.int64)
+    ti = np.asarray(ti, dtype=np.int64)
+    if bi.shape != ti.shape or bi.ndim != 1:
+        raise ShapeMismatchError(f"scan cells: rows {bi.shape} vs steps {ti.shape}")
+    if bi.size and (bi.min() < 0 or bi.max() >= batch_rows
+                    or ti.min() < 0 or ti.max() >= steps):
+        raise IndexOutOfRangeError(
+            f"scan cells fall outside a {batch_rows} x {steps} batch")
+    order = np.lexsort((bi, ti))
+    rows_sorted = bi[order]
+    bounds = np.searchsorted(ti[order], np.arange(steps + 1))
+    blocks = []
+    for t in range(steps):
+        lo, hi = int(bounds[t]), int(bounds[t + 1])
+        if lo < hi:
+            blocks.append((lo, hi, None if hi - lo == batch_rows
+                           else rows_sorted[lo:hi]))
+    return order, blocks
+
+
+def _unsort(order, sorted_values):
+    out = np.empty_like(sorted_values)
+    out[order] = sorted_values
+    return out
+
+
+def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
+                bi, ti, batch_rows: int, steps: int) -> Tensor:
+    """DKVMN value-memory recurrence; returns the S x d read vectors.
+
+    Each row's memory starts as mem0 (N x d).  Cell s reads its row's memory
+    before writing it:
+        r[s]   = sum_i w[s,i] * M[i]
+        M[i]  <- M[i] * (1 - w[s,i] * erase[s]) + w[s,i] * add_vec[s]
+    (computed as M[i] - w[s,i] * (M[i] * erase[s] - add_vec[s])).  Forward
+    keeps the memory each cell read; backward is a reverse scan.
+    """
+    S, N = w.shape
+    d = mem0.cols
+    if mem0.rows != N or erase.shape != (S, d) or add_vec.shape != (S, d):
+        raise ShapeMismatchError(
+            f"memory_scan: mem0 {mem0.shape}, w {w.shape}, e {erase.shape}, "
+            f"a {add_vec.shape}")
+    order, blocks = _time_blocks(bi, ti, batch_rows, steps)
+    ws, es, as_ = w.data[order], erase.data[order], add_vec.data[order]
+    mem = np.tile(mem0.data, (batch_rows, 1, 1))
+    before = np.empty((S, N, d))      # the memory each cell read
+    reads = np.empty((S, d))
+    buf = np.empty((batch_rows, N, d))
+    for lo, hi, rows in blocks:
+        m = before[lo:hi]
+        if rows is None:
+            m[...] = mem
+        else:
+            np.take(mem, rows, axis=0, out=m)
+        reads[lo:hi] = np.matmul(ws[lo:hi, None, :], m)[:, 0, :]
+        # M - w (M e - a), in place
+        delta = np.multiply(m, es[lo:hi, None, :], out=buf[:hi - lo])
+        delta -= as_[lo:hi, None, :]
+        delta *= ws[lo:hi, :, None]
+        if rows is None:
+            np.subtract(m, delta, out=mem)
+        else:
+            mem[rows] = m - delta
+
+    def backward(g, out):
+        gs = g[order]
+        gmem = np.zeros((batch_rows, N, d))   # d loss / d memory after a step
+        gw, ge, ga = np.empty((S, N)), np.empty((S, d)), np.empty((S, d))
+        buf_gm, buf_delta = np.empty((batch_rows, N, d)), np.empty((batch_rows, N, d))
+        for lo, hi, rows in reversed(blocks):
+            m = before[lo:hi]
+            gm = gmem if rows is None else gmem[rows]
+            w_row = ws[lo:hi, None, :]
+            e_col, a_col, gr = es[lo:hi, :, None], as_[lo:hi, :, None], gs[lo:hi]
+            gm_m = np.multiply(gm, m, out=buf_gm[:hi - lo])
+            gw[lo:hi] = (np.matmul(gm, a_col) - np.matmul(gm_m, e_col)
+                         + np.matmul(m, gr[:, :, None]))[:, :, 0]
+            ge[lo:hi] = -np.matmul(w_row, gm_m)[:, 0, :]
+            ga[lo:hi] = np.matmul(w_row, gm)[:, 0, :]
+            # the gradient before the write: G - w (G e - g_read), in place
+            delta = np.multiply(gm, es[lo:hi, None, :], out=buf_delta[:hi - lo])
+            delta -= gr[:, None, :]
+            delta *= ws[lo:hi, :, None]
+            if rows is None:
+                gmem -= delta
+            else:
+                gmem[rows] = gm - delta
+        mem0.accumulate_grad(gmem.sum(axis=0))
+        w.accumulate_grad(_unsort(order, gw))
+        erase.accumulate_grad(_unsort(order, ge))
+        add_vec.accumulate_grad(_unsort(order, ga))
+
+    return _node(_unsort(order, reads), "memory_scan", (mem0, w, erase, add_vec),
+                 backward)
+
+
+def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Tensor:
+    """LSTM recurrence; returns the S x h hidden state after each cell.
+
+    x holds each cell's input pre-activations (S x 4h, gate order
+    input/forget/cell/output).  Each row starts from h = c = 0, and cell s runs
+        z = x[s] + h @ w_h
+        c <- sigmoid(z_f) * c + sigmoid(z_i) * tanh(z_g)
+        h <- sigmoid(z_o) * tanh(c)
+    Forward keeps each cell's gates and states; backward is a reverse scan.
+    """
+    S = x.rows
+    hs = w_h.rows
+    if w_h.cols != 4 * hs or x.cols != 4 * hs:
+        raise ShapeMismatchError(f"lstm_scan: x {x.shape}, w_h {w_h.shape}")
+    order, blocks = _time_blocks(bi, ti, batch_rows, steps)
+    xs = x.data[order]
+    h_state, c_state = np.zeros((batch_rows, hs)), np.zeros((batch_rows, hs))
+    gates = np.empty((S, 4 * hs))
+    h_prev, c_prev = np.empty((S, hs)), np.empty((S, hs))
+    tanh_c, h_out = np.empty((S, hs)), np.empty((S, hs))
+    for lo, hi, rows in blocks:
+        hp = h_state if rows is None else h_state[rows]
+        cp = c_state if rows is None else c_state[rows]
+        z = xs[lo:hi] + hp @ w_h.data
+        gt = gates[lo:hi]
+        gt[:] = _sigmoid(z)
+        gt[:, 2 * hs:3 * hs] = np.tanh(z[:, 2 * hs:3 * hs])
+        c = gt[:, hs:2 * hs] * cp + gt[:, :hs] * gt[:, 2 * hs:3 * hs]
+        tanh_c[lo:hi] = np.tanh(c)
+        h_out[lo:hi] = gt[:, 3 * hs:] * tanh_c[lo:hi]
+        h_prev[lo:hi], c_prev[lo:hi] = hp, cp
+        if rows is None:
+            h_state, c_state = h_out[lo:hi].copy(), c
+        else:
+            h_state[rows], c_state[rows] = h_out[lo:hi], c
+
+    def backward(g, out):
+        gs = g[order]
+        dh_state, dc_state = np.zeros((batch_rows, hs)), np.zeros((batch_rows, hs))
+        dz = np.empty((S, 4 * hs))
+        for lo, hi, rows in reversed(blocks):
+            dh = gs[lo:hi] + (dh_state if rows is None else dh_state[rows])
+            dc_next = dc_state if rows is None else dc_state[rows]
+            gt, tc = gates[lo:hi], tanh_c[lo:hi]
+            i_g, f_g = gt[:, :hs], gt[:, hs:2 * hs]
+            g_g, o_g = gt[:, 2 * hs:3 * hs], gt[:, 3 * hs:]
+            dc = dc_next + dh * o_g * (1.0 - tc * tc)
+            dzt = dz[lo:hi]
+            dzt[:, :hs] = dc * g_g * i_g * (1.0 - i_g)
+            dzt[:, hs:2 * hs] = dc * c_prev[lo:hi] * f_g * (1.0 - f_g)
+            dzt[:, 2 * hs:3 * hs] = dc * i_g * (1.0 - g_g * g_g)
+            dzt[:, 3 * hs:] = dh * tc * o_g * (1.0 - o_g)
+            dh_prev, dc_prev = dzt @ w_h.data.T, dc * f_g
+            if rows is None:
+                dh_state, dc_state = dh_prev, dc_prev
+            else:
+                dh_state[rows], dc_state[rows] = dh_prev, dc_prev
+        x.accumulate_grad(_unsort(order, dz))
+        w_h.accumulate_grad(h_prev.T @ dz)
+
+    return _node(_unsort(order, h_out), "lstm_scan", (x, w_h), backward)
+
+
 def binary_cross_entropy(p: Tensor, targets, mask, eps: float = 1e-7) -> Tensor:
     """Masked summed cross-entropy; probabilities are clamped to [eps, 1-eps]."""
     y = np.asarray(targets, dtype=np.float64)
@@ -419,7 +596,8 @@ def backward(loss: Tensor) -> None:
 def clip_global_norm(grads, threshold: float) -> float:
     """Scale all gradient arrays in place so their joint L2 norm is <= threshold.
 
-    Returns the applied scale factor (1.0 when no clipping happened).
+    Returns the applied scale factor (1.0 when no clipping happened).  A NaN
+    or infinite norm raises FloatingPointError and leaves the arrays alone.
     """
     if threshold <= 0:
         raise ValueError(f"clip threshold must be positive, got {threshold}")
@@ -427,6 +605,8 @@ def clip_global_norm(grads, threshold: float) -> float:
     for g in grads:
         total += float((g * g).sum())
     norm = np.sqrt(total)
+    if not np.isfinite(norm):
+        raise FloatingPointError(f"non-finite gradient norm {norm}")
     if norm <= threshold or norm == 0.0:
         return 1.0
     factor = threshold / norm

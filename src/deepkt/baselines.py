@@ -8,21 +8,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import _sigmoid
 from .datasets import ValidationError
 
 L2_PENALTY = 1e-4
 MAX_ITERS = 500
 GRAD_TOL = 1e-6
-
-
-def _sigmoid(x):
-    out = np.empty_like(np.asarray(x, dtype=np.float64))
-    x = np.asarray(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass

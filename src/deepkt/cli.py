@@ -207,7 +207,6 @@ def build_parser():
 
     d = sub.add_parser("export-difficulty", help="per-question difficulty CSV")
     d.add_argument("--ckpt", required=True)
-    d.add_argument("--data")
     d.add_argument("--out", required=True)
     d.add_argument("--join", action="append",
                    help="difficulty CSV from another source (repeatable)")

@@ -19,7 +19,7 @@ BASELINE_MODELS = ("pfa", "lfa", "irt", "item_analysis")
 
 
 class TrainingError(RuntimeError):
-    """Training diverged (NaN/inf loss)."""
+    """Training diverged (NaN/inf loss or gradient)."""
 
 
 @dataclass
@@ -83,8 +83,8 @@ def make_arch(config: TrainConfig, num_kcs: int):
 
 
 def param_count(config: TrainConfig, num_kcs: int) -> int:
-    params = models.init_params(make_arch(config, num_kcs), std=1.0, seed=0)
-    return sum(t.data.size for t in params.parameters())
+    shapes = models.param_shapes(make_arch(config, num_kcs)).values()
+    return sum(rows * cols for rows, cols in shapes)
 
 
 def _batches(n, batch_size):
@@ -116,7 +116,11 @@ def train(config: TrainConfig, dataset: Dataset, check_clip=None):
                     f"non-finite loss at epoch {epoch}, batch starting {idx.start}")
             backward(loss)
             grads = [p.grad for p in params.parameters() if p.grad is not None]
-            clip_global_norm(grads, config.clip_norm)
+            try:
+                clip_global_norm(grads, config.clip_norm)
+            except FloatingPointError as exc:
+                raise TrainingError(f"{exc} at epoch {epoch}, batch starting "
+                                    f"{idx.start}") from None
             if check_clip is not None:
                 check_clip(float(np.sqrt(sum((g * g).sum() for g in grads))))
             adam_step(params.parameters(), state, config.lr)
@@ -133,8 +137,7 @@ def evaluate(params, dataset: Dataset, config: TrainConfig,
     seqs = dataset.sequences
     for idx in _batches(len(seqs), eval_batch):
         batch = pad_and_mask([seqs[i] for i in idx], config.seq_len, dataset.num_kcs)
-        out = models.forward(params, batch)
-        s, y = models.prediction_set(out)
+        s, y = models.prediction_set(models.forward(params, batch))
         scores.append(s)
         labels.append(y)
     return PredictionSet(np.concatenate(scores), np.concatenate(labels))
@@ -214,8 +217,7 @@ def grid_search(grid: GridSpec, base_config: TrainConfig, train_set: Dataset):
                       "cv_loss": float(np.mean(fold_losses)),
                       "fold_losses": fold_losses,
                       "num_params": param_count(cfg, train_set.num_kcs)})
-    best = min(table, key=lambda r: (r["cv_loss"], r["num_params"], r["position"]))
-    return replace(base_config, **best["point"]), table
+    return replace(base_config, **select_best(table)["point"]), table
 
 
 def select_best(table):

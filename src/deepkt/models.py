@@ -4,7 +4,7 @@ passes over padded batches, plus parameter init and JSON checkpoints."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,97 +40,83 @@ class DktArch:
         return {"kind": "dkt", "num_kcs": self.num_kcs, "hidden": self.hidden}
 
 
-class DkvmnParams:
+class _Params:
+    """Named learnable tensors of one architecture, in a fixed order."""
+
+    def __init__(self, arch, arrays):
+        self.arch = arch
+        for name, value in arrays.items():
+            setattr(self, name, value)
+        self._names = list(arrays.keys())
+
+    def named_parameters(self):
+        return [(n, getattr(self, n)) for n in self._names]
+
+    def parameters(self):
+        return [getattr(self, n) for n in self._names]
+
+
+class DkvmnParams(_Params):
     """Learnable state for DKVMN / Deep-IRT; d_k = d_v = state_dim."""
 
-    def __init__(self, arch: MemoryArch, arrays):
-        self.arch = arch
-        for name, value in arrays.items():
-            setattr(self, name, value)
-        self._names = list(arrays.keys())
 
-    def named_parameters(self):
-        return [(n, getattr(self, n)) for n in self._names]
-
-    def parameters(self):
-        return [getattr(self, n) for n in self._names]
-
-
-class DktParams:
+class DktParams(_Params):
     """Learnable state for the LSTM model; gate order is input/forget/cell/output."""
 
-    def __init__(self, arch: DktArch, arrays):
-        self.arch = arch
-        for name, value in arrays.items():
-            setattr(self, name, value)
-        self._names = list(arrays.keys())
 
-    def named_parameters(self):
-        return [(n, getattr(self, n)) for n in self._names]
-
-    def parameters(self):
-        return [getattr(self, n) for n in self._names]
-
-
-def _gaussian(rng, rows, cols, std):
-    return Tensor(rng.normal(0.0, std, size=(rows, cols)), requires_grad=True)
-
-
-def init_memory_params(arch: MemoryArch, std: float = 0.05, seed: int = 0) -> DkvmnParams:
-    if std <= 0:
-        raise ValidationError(f"init std must be positive, got {std}")
-    rng = np.random.default_rng(seed)
-    q, n, d, f = arch.num_kcs, arch.mem_slots, arch.state_dim, arch.feature_dim
-    arrays = {
-        "A": _gaussian(rng, q, d, std),
-        "B": _gaussian(rng, 2 * q, d, std),
-        "Mk": _gaussian(rng, n, d, std),
-        "Mv0": _gaussian(rng, n, d, std),
-        "W_f": _gaussian(rng, 2 * d, f, std),
-        "b_f": _gaussian(rng, 1, f, std),
-        "W_e": _gaussian(rng, d, d, std),
-        "b_e": _gaussian(rng, 1, d, std),
-        "W_a": _gaussian(rng, d, d, std),
-        "b_a": _gaussian(rng, 1, d, std),
-    }
-    if arch.deep_irt:
-        arrays["W_theta"] = _gaussian(rng, f, 1, std)
-        arrays["b_theta"] = _gaussian(rng, 1, 1, std)
-        arrays["W_beta"] = _gaussian(rng, d, 1, std)
-        arrays["b_beta"] = _gaussian(rng, 1, 1, std)
-    else:
-        arrays["W_p"] = _gaussian(rng, f, 1, std)
-        arrays["b_p"] = _gaussian(rng, 1, 1, std)
-    return DkvmnParams(arch, arrays)
+def param_shapes(arch) -> dict:
+    """Parameter name -> shape, in the order init draws them."""
+    if isinstance(arch, MemoryArch):
+        q, n, d, f = arch.num_kcs, arch.mem_slots, arch.state_dim, arch.feature_dim
+        shapes = {"A": (q, d), "B": (2 * q, d), "Mk": (n, d), "Mv0": (n, d),
+                  "W_f": (2 * d, f), "b_f": (1, f), "W_e": (d, d), "b_e": (1, d),
+                  "W_a": (d, d), "b_a": (1, d)}
+        if arch.deep_irt:
+            shapes.update(W_theta=(f, 1), b_theta=(1, 1), W_beta=(d, 1), b_beta=(1, 1))
+        else:
+            shapes.update(W_p=(f, 1), b_p=(1, 1))
+        return shapes
+    if isinstance(arch, DktArch):
+        q, h = arch.num_kcs, arch.hidden
+        return {"W_x": (2 * q, 4 * h), "W_h": (h, 4 * h), "b_g": (1, 4 * h),
+                "W_y": (h, q), "b_y": (1, q)}
+    raise TypeError(f"unknown architecture {type(arch).__name__}")
 
 
-def init_dkt_params(arch: DktArch, std: float = 0.05, seed: int = 0) -> DktParams:
-    if std <= 0:
-        raise ValidationError(f"init std must be positive, got {std}")
-    rng = np.random.default_rng(seed)
-    q, h = arch.num_kcs, arch.hidden
-    arrays = {
-        "W_x": _gaussian(rng, 2 * q, 4 * h, std),
-        "W_h": _gaussian(rng, h, 4 * h, std),
-        "b_g": _gaussian(rng, 1, 4 * h, std),
-        "W_y": _gaussian(rng, h, q, std),
-        "b_y": _gaussian(rng, 1, q, std),
-    }
-    return DktParams(arch, arrays)
+def _make_params(arch, arrays):
+    cls = DkvmnParams if isinstance(arch, MemoryArch) else DktParams
+    return cls(arch, {name: Tensor(value, requires_grad=True)
+                      for name, value in arrays.items()})
 
 
 def init_params(arch, std: float = 0.05, seed: int = 0):
-    if isinstance(arch, MemoryArch):
-        return init_memory_params(arch, std, seed)
-    if isinstance(arch, DktArch):
-        return init_dkt_params(arch, std, seed)
-    raise TypeError(f"unknown architecture {type(arch).__name__}")
+    """Gaussian init, every parameter drawn from one seeded stream."""
+    shapes = param_shapes(arch)
+    if std <= 0:
+        raise ValidationError(f"init std must be positive, got {std}")
+    rng = np.random.default_rng(seed)
+    return _make_params(arch, {name: rng.normal(0.0, std, size=shape)
+                               for name, shape in shapes.items()})
+
+
+def init_memory_params(arch: MemoryArch, std: float = 0.05, seed: int = 0) -> DkvmnParams:
+    return init_params(arch, std, seed)
+
+
+def init_dkt_params(arch: DktArch, std: float = 0.05, seed: int = 0) -> DktParams:
+    return init_params(arch, std, seed)
 
 
 @dataclass
 class StepOutputs:
-    """Per-step model outputs; entries outside the prediction mask are garbage."""
-    prob_tensor: Tensor            # B x L, still attached to the graph
+    """Model outputs for the scored cells of a padded batch.
+
+    ``prob_tensor`` and ``cells`` cover the scored cells only, batch row by
+    batch row; the B x L grids hold neutral values off ``pred_mask``
+    (p = 0.5, theta = beta = 0, uniform attention).
+    """
+    prob_tensor: Tensor            # S x 1, still attached to the graph
+    cells: tuple                   # (rows, steps) of the S scored cells
     pred_mask: np.ndarray          # B x L, 1 where a prediction is scored
     answers: np.ndarray            # B x L labels aligned with pred_mask
     p: np.ndarray                  # B x L detached probabilities
@@ -139,131 +125,80 @@ class StepOutputs:
     attention: np.ndarray | None = None
 
 
-# ---------------------------------------------------------------------------
-# memory-model building blocks (per-step views used by the sequence forward)
+def _check_ids(batch: PaddedBatch, num_kcs: int) -> None:
+    if batch.q_ids.max() > num_kcs:
+        raise ad.IndexOutOfRangeError(
+            f"question id {int(batch.q_ids.max())} exceeds num_kcs={num_kcs}")
 
 
-def attention(key_memory: Tensor, kc_embed: Tensor) -> Tensor:
-    """Softmax over inner products of each key slot with the KC embedding rows."""
-    return ad.softmax_rows(kc_embed @ key_memory.T)
-
-
-def read(value_memory: Tensor, weights: Tensor) -> Tensor:
-    """Attention-weighted combination of batched value-memory rows."""
-    return ad.attention_read(value_memory, weights)
-
-
-def feature_vector(read_vec: Tensor, kc_embed: Tensor, params: DkvmnParams) -> Tensor:
-    return ad.tanh(ad.concat_cols(read_vec, kc_embed) @ params.W_f + params.b_f)
-
-
-def predict_dkvmn(read_vec: Tensor, kc_embed: Tensor, params: DkvmnParams) -> Tensor:
-    f = feature_vector(read_vec, kc_embed, params)
-    return ad.sigmoid(f @ params.W_p + params.b_p)
-
-
-def predict_deep_irt(read_vec: Tensor, kc_embed: Tensor, params: DkvmnParams):
-    """Returns (p, theta, beta); p = sigmoid(3 * theta - beta)."""
-    f = feature_vector(read_vec, kc_embed, params)
-    theta = ad.tanh(f @ params.W_theta + params.b_theta)
-    beta = ad.tanh(kc_embed @ params.W_beta + params.b_beta)
-    p = ad.sigmoid(ad.scale(theta, ABILITY_SCALE) - beta)
-    return p, theta, beta
-
-
-def write(value_memory: Tensor, weights: Tensor, response_embed: Tensor,
-          params: DkvmnParams) -> Tensor:
-    """Erase-then-add value memory update."""
-    e = ad.sigmoid(response_embed @ params.W_e + params.b_e)
-    a = ad.tanh(response_embed @ params.W_a + params.b_a)
-    return ad.memory_write(value_memory, weights, e, a)
-
-
-def _clamp_pad(ids):
-    # padding id 0 would be out of range for the 1-based tables; any dummy row
-    # works because every downstream use is masked out of loss and memory writes
-    return np.where(ids >= 1, ids, 1)
+def _grid(cells, values, shape, fill):
+    out = np.full(shape, fill)
+    out[cells] = values
+    return out
 
 
 def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
-    """Run DKVMN or Deep-IRT over a padded batch.
+    """Run DKVMN or Deep-IRT over the scored cells of a padded batch.
 
-    Each step predicts from the memory state before its own write; the value
-    memory starts as a per-row copy of Mv0 and padded steps leave it untouched.
+    Attention, erase/add and the heads depend on the current interaction
+    only, so they run once over all scored cells; the value-memory write is
+    the one recurrence.  Each cell predicts from the memory before its own
+    write, and unscored cells leave the memory alone.
     """
     arch = params.arch
-    if batch.q_ids.max() > arch.num_kcs:
-        raise ad.IndexOutOfRangeError(
-            f"question id {int(batch.q_ids.max())} exceeds num_kcs={arch.num_kcs}")
+    _check_ids(batch, arch.num_kcs)
     B, L = batch.q_ids.shape
+    cells = np.nonzero(batch.mask)
+    k = ad.gather_rows(params.A, batch.q_ids[cells])
+    w = ad.softmax_rows(k @ params.Mk.T)
+    v = ad.gather_rows(params.B, batch.qa_ids[cells])
+    erase = ad.sigmoid(v @ params.W_e + params.b_e)
+    add = ad.tanh(v @ params.W_a + params.b_a)
+    r = ad.memory_scan(params.Mv0, w, erase, add, *cells, B, L)
+    f = ad.tanh(ad.concat_cols(r, k) @ params.W_f + params.b_f)
+    theta = beta = None
+    if arch.deep_irt:
+        th = ad.tanh(f @ params.W_theta + params.b_theta)
+        be = ad.tanh(k @ params.W_beta + params.b_beta)
+        prob = ad.sigmoid(ad.scale(th, ABILITY_SCALE) - be)
+        theta = _grid(cells, th.data[:, 0], (B, L), 0.0)
+        beta = _grid(cells, be.data[:, 0], (B, L), 0.0)
+    else:
+        prob = ad.sigmoid(f @ params.W_p + params.b_p)
     n_slots = arch.mem_slots
-    value_memory = ad.tile_rows(params.Mv0, B)
-    key_t = params.Mk.T
-
-    p_cols = []
-    theta_np = np.zeros((B, L)) if arch.deep_irt else None
-    beta_np = np.zeros((B, L)) if arch.deep_irt else None
-    attn_np = np.zeros((B, L, n_slots))
-    for t in range(L):
-        k_t = ad.gather_rows(params.A, _clamp_pad(batch.q_ids[:, t]))
-        w_raw = ad.softmax_rows(k_t @ key_t)
-        r_t = read(value_memory, w_raw)
-        if arch.deep_irt:
-            p_t, th_t, be_t = predict_deep_irt(r_t, k_t, params)
-            theta_np[:, t] = th_t.data[:, 0]
-            beta_np[:, t] = be_t.data[:, 0]
-        else:
-            p_t = predict_dkvmn(r_t, k_t, params)
-        attn_np[:, t, :] = w_raw.data
-        p_cols.append(p_t)
-
-        v_t = ad.gather_rows(params.B, _clamp_pad(batch.qa_ids[:, t]))
-        mask_col = ad.constant(batch.mask[:, t:t + 1].astype(np.float64))
-        value_memory = write(value_memory, ad.mul(w_raw, mask_col), v_t, params)
-
-    prob = ad.concat_cols(*p_cols)
-    return StepOutputs(prob_tensor=prob,
+    return StepOutputs(prob_tensor=prob, cells=cells,
                        pred_mask=batch.mask.copy(),
                        answers=batch.answers.copy(),
-                       p=prob.data.copy(),
-                       theta=theta_np, beta=beta_np, attention=attn_np)
+                       p=_grid(cells, prob.data[:, 0], (B, L), 0.5),
+                       theta=theta, beta=beta,
+                       attention=_grid(cells, w.data, (B, L, n_slots), 1.0 / n_slots))
 
 
 def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
-    """LSTM over one-hot interaction ids; step t's output scores question t+1.
+    """LSTM over one-hot interaction ids; the state after step t scores
+    question t+1, so the first step of each row is not scored.  h_0 = c_0 = 0.
 
-    Predictions exist for steps 2..T only, so the prediction mask zeroes the
-    first column.  h_0 = c_0 = 0.
+    The scored cell (b, t) feeds interaction (b, t-1) to the LSTM and reads
+    only column q_t of the output layer.
     """
     arch = params.arch
-    if batch.q_ids.max() > arch.num_kcs:
-        raise ad.IndexOutOfRangeError(
-            f"question id {int(batch.q_ids.max())} exceeds num_kcs={arch.num_kcs}")
+    _check_ids(batch, arch.num_kcs)
     B, L = batch.q_ids.shape
-    h_size = arch.hidden
-    h = ad.constant(np.zeros((B, h_size)))
-    c = ad.constant(np.zeros((B, h_size)))
-
-    p_cols = [ad.constant(np.full((B, 1), 0.5))]  # step 1 has no history
-    for t in range(L - 1):
-        # one-hot(qa_t) @ W_x is a row lookup
-        gates = ad.gather_rows(params.W_x, _clamp_pad(batch.qa_ids[:, t])) \
-            + (h @ params.W_h) + params.b_g
-        i_g = ad.sigmoid(ad.slice_cols(gates, 0, h_size))
-        f_g = ad.sigmoid(ad.slice_cols(gates, h_size, 2 * h_size))
-        g_g = ad.tanh(ad.slice_cols(gates, 2 * h_size, 3 * h_size))
-        o_g = ad.sigmoid(ad.slice_cols(gates, 3 * h_size, 4 * h_size))
-        c = ad.mul(f_g, c) + ad.mul(i_g, g_g)
-        h = ad.mul(o_g, ad.tanh(c))
-        y = ad.sigmoid(h @ params.W_y + params.b_y)
-        next_q = _clamp_pad(batch.q_ids[:, t + 1]) - 1
-        p_cols.append(ad.take_per_row(y, next_q))
-
-    prob = ad.concat_cols(*p_cols)
     pred_mask = batch.mask.copy()
     pred_mask[:, 0] = 0
-    return StepOutputs(prob_tensor=prob, pred_mask=pred_mask,
-                       answers=batch.answers.copy(), p=prob.data.copy())
+    cells = np.nonzero(pred_mask)
+    rows, steps = cells
+    # one-hot(qa) @ W_x is a row lookup
+    x = ad.gather_rows(params.W_x, batch.qa_ids[rows, steps - 1]) + params.b_g
+    h = ad.lstm_scan(x, params.W_h, rows, steps, B, L)
+    q = batch.q_ids[cells]
+    logit = ad.mul(h, ad.gather_rows(params.W_y.T, q)) \
+        @ ad.constant(np.ones((arch.hidden, 1))) \
+        + ad.gather_rows(params.b_y.T, q)
+    prob = ad.sigmoid(logit)
+    return StepOutputs(prob_tensor=prob, cells=cells, pred_mask=pred_mask,
+                       answers=batch.answers.copy(),
+                       p=_grid(cells, prob.data[:, 0], (B, L), 0.5))
 
 
 def forward(params, batch: PaddedBatch) -> StepOutputs:
@@ -275,9 +210,10 @@ def forward(params, batch: PaddedBatch) -> StepOutputs:
 
 
 def sequence_loss(outputs: StepOutputs, batch: PaddedBatch) -> Tensor:
-    """Summed masked cross-entropy over scored steps (1 x 1 tensor)."""
-    return ad.binary_cross_entropy(outputs.prob_tensor, outputs.answers,
-                                   outputs.pred_mask, eps=PROB_EPS)
+    """Summed cross-entropy over the scored cells (1 x 1 tensor)."""
+    labels = outputs.answers[outputs.cells].reshape(-1, 1)
+    return ad.binary_cross_entropy(outputs.prob_tensor, labels,
+                                   np.ones_like(labels), eps=PROB_EPS)
 
 
 def mean_loss_value(loss: Tensor, outputs: StepOutputs) -> float:
@@ -286,9 +222,8 @@ def mean_loss_value(loss: Tensor, outputs: StepOutputs) -> float:
 
 
 def prediction_set(outputs: StepOutputs):
-    """Flatten (scores, labels) over the scored steps."""
-    sel = outputs.pred_mask == 1
-    return outputs.p[sel], outputs.answers[sel]
+    """Flatten (scores, labels) over the scored steps, batch row by row."""
+    return outputs.prob_tensor.data[:, 0].copy(), outputs.answers[outputs.cells]
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +247,15 @@ def load_checkpoint(path):
         arch = MemoryArch(num_kcs=spec["num_kcs"], mem_slots=spec["mem_slots"],
                           state_dim=spec["state_dim"], feature_dim=spec["feature_dim"],
                           deep_irt=(kind == "deep_irt"))
-        params = init_memory_params(arch, std=1.0, seed=0)
     elif kind == "dkt":
         arch = DktArch(num_kcs=spec["num_kcs"], hidden=spec["hidden"])
-        params = init_dkt_params(arch, std=1.0, seed=0)
     else:
         raise ValidationError(f"unknown checkpoint kind {kind!r}")
-    for name, t in params.named_parameters():
+    arrays = {}
+    for name, shape in param_shapes(arch).items():
         arr = np.array(doc["arrays"][name], dtype=np.float64)
-        if arr.shape != t.data.shape:
+        if arr.shape != shape:
             raise ValidationError(
-                f"checkpoint array {name} has shape {arr.shape}, expected {t.data.shape}")
-        t.data = arr
-    return params
+                f"checkpoint array {name} has shape {arr.shape}, expected {shape}")
+        arrays[name] = arr
+    return _make_params(arch, arrays)

@@ -170,7 +170,8 @@ class TestCriterion6MaskingInvariance:
                 [p.grad.copy() for p in params.parameters()])
 
     @pytest.mark.parametrize("model,extra", [
-        ("deep_irt", 1), ("deep_irt", 7), ("dkvmn", 4), ("dkt", 5),
+        (model, extra) for model in ("deep_irt", "dkvmn", "dkt")
+        for extra in range(1, 13)
     ])
     def test_appending_padding_is_invisible(self, rng, model, extra):
         if model == "dkt":

@@ -49,6 +49,15 @@ class TestActivation:
         out = ad.sigmoid(Tensor([[-1e4, 1e4]]))
         assert np.all(np.isfinite(out.data))
 
+    def test_sigmoid_matches_branchwise_formula_exactly(self, rng):
+        x = np.concatenate([rng.normal(size=2000) * s for s in (1e-3, 1, 30, 800)]
+                           + [[0.0, -0.0, np.inf, -np.inf]])
+        pos = x >= 0
+        expect = np.empty_like(x)
+        expect[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        expect[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data[0], expect)
+
     def test_tanh_gradient(self, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
@@ -254,6 +263,118 @@ class TestOtherOps:
         check_gradients(loss_fn, [logits], rng, n_samples=8, rtol=1e-5)
 
 
+def ragged_cells(rng, lengths, steps):
+    """Scored cells of rows with the given prefix lengths, in shuffled order."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = np.concatenate([np.arange(n) for n in lengths])
+    assert cols.max() < steps
+    perm = rng.permutation(len(rows))
+    return rows[perm], cols[perm]
+
+
+def memory_scan_loop(mem0, w, e, a, rows, cols, batch_rows):
+    """Cell-by-cell oracle for memory_scan."""
+    mem = [mem0.copy() for _ in range(batch_rows)]
+    reads = np.zeros((len(rows), mem0.shape[1]))
+    for s in sorted(range(len(rows)), key=lambda s: (cols[s], rows[s])):
+        m = mem[rows[s]]
+        reads[s] = w[s] @ m
+        mem[rows[s]] = m * (1 - np.outer(w[s], e[s])) + np.outer(w[s], a[s])
+    return reads
+
+
+def lstm_scan_loop(x, w_h, rows, cols, batch_rows):
+    """Cell-by-cell oracle for lstm_scan."""
+    hs = w_h.shape[0]
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    h = np.zeros((batch_rows, hs))
+    c = np.zeros((batch_rows, hs))
+    out = np.zeros((len(rows), hs))
+    for s in sorted(range(len(rows)), key=lambda s: (cols[s], rows[s])):
+        b = rows[s]
+        z = x[s] + h[b] @ w_h
+        c[b] = sig(z[hs:2 * hs]) * c[b] + sig(z[:hs]) * np.tanh(z[2 * hs:3 * hs])
+        h[b] = sig(z[3 * hs:]) * np.tanh(c[b])
+        out[s] = h[b]
+    return out
+
+
+class TestMemoryScan:
+    def inputs(self, rng, lengths, N=3, d=4):
+        S = sum(lengths)
+        mem0 = Tensor(rng.normal(size=(N, d)), requires_grad=True)
+        w = Tensor(rng.dirichlet(np.ones(N), size=S), requires_grad=True)
+        e = Tensor(rng.random(size=(S, d)), requires_grad=True)
+        a = Tensor(rng.normal(size=(S, d)), requires_grad=True)
+        return mem0, w, e, a
+
+    def test_matches_cell_loop(self, rng):
+        lengths = [5, 2, 0, 4]
+        mem0, w, e, a = self.inputs(rng, lengths)
+        rows, cols = ragged_cells(rng, lengths, 6)
+        out = ad.memory_scan(mem0, w, e, a, rows, cols, 4, 6)
+        expect = memory_scan_loop(mem0.data, w.data, e.data, a.data, rows, cols, 4)
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
+    def test_first_read_is_initial_memory(self, rng):
+        mem0, w, e, a = self.inputs(rng, [1, 1])
+        out = ad.memory_scan(mem0, w, e, a, [0, 1], [0, 0], 2, 1)
+        np.testing.assert_allclose(out.data, w.data @ mem0.data, atol=1e-12)
+
+    def test_gradient_vs_finite_differences(self, rng):
+        lengths = [4, 1, 3]
+        mem0, w, e, a = self.inputs(rng, lengths)
+        rows, cols = ragged_cells(rng, lengths, 5)
+        target = rng.normal(size=(sum(lengths), 4))
+
+        def loss_fn(return_tensor=False):
+            r = ad.memory_scan(mem0, w, e, a, rows, cols, 3, 5)
+            t = scalar_loss(ad.tanh(ad.mul(r, Tensor(target))))
+            return t if return_tensor else t.item()
+
+        check_gradients(loss_fn, [mem0, w, e, a], rng, n_samples=30, rtol=1e-6)
+
+    def test_shape_and_cell_checks(self, rng):
+        mem0, w, e, a = self.inputs(rng, [2])
+        with pytest.raises(ShapeMismatchError):
+            ad.memory_scan(mem0, w, Tensor(np.zeros((2, 5))), a, [0, 0], [0, 1], 1, 2)
+        with pytest.raises(ad.IndexOutOfRangeError):
+            ad.memory_scan(mem0, w, e, a, [0, 0], [0, 2], 1, 2)
+
+
+class TestLstmScan:
+    def inputs(self, rng, lengths, hs=3):
+        x = Tensor(rng.normal(size=(sum(lengths), 4 * hs)), requires_grad=True)
+        w_h = Tensor(rng.normal(size=(hs, 4 * hs)) * 0.5, requires_grad=True)
+        return x, w_h
+
+    def test_matches_cell_loop(self, rng):
+        lengths = [3, 0, 5, 1]
+        x, w_h = self.inputs(rng, lengths)
+        rows, cols = ragged_cells(rng, lengths, 5)
+        out = ad.lstm_scan(x, w_h, rows, cols, 4, 5)
+        expect = lstm_scan_loop(x.data, w_h.data, rows, cols, 4)
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
+    def test_gradient_vs_finite_differences(self, rng):
+        lengths = [4, 2, 3]
+        x, w_h = self.inputs(rng, lengths)
+        rows, cols = ragged_cells(rng, lengths, 4)
+        target = rng.normal(size=(sum(lengths), 3))
+
+        def loss_fn(return_tensor=False):
+            h = ad.lstm_scan(x, w_h, rows, cols, 3, 4)
+            t = scalar_loss(ad.mul(h, Tensor(target)))
+            return t if return_tensor else t.item()
+
+        check_gradients(loss_fn, [x, w_h], rng, n_samples=30, rtol=1e-6)
+
+    def test_shape_check(self, rng):
+        x, _ = self.inputs(rng, [2])
+        with pytest.raises(ShapeMismatchError):
+            ad.lstm_scan(x, Tensor(np.zeros((3, 8))), [0, 0], [0, 1], 1, 2)
+
+
 class TestClipGlobalNorm:
     def test_below_threshold_untouched(self):
         g = np.array([[3.0, 4.0]])
@@ -285,6 +406,14 @@ class TestClipGlobalNorm:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             clip_global_norm([np.ones(2)], 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_raises_and_leaves_grads(self, bad):
+        grads = [np.array([[1.0, bad]]), np.array([[30.0]])]
+        with pytest.raises(FloatingPointError):
+            clip_global_norm(grads, 1.0)
+        np.testing.assert_array_equal(grads[0], [[1.0, bad]])
+        np.testing.assert_array_equal(grads[1], [[30.0]])
 
 
 def reference_adam_trace(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -122,6 +122,33 @@ class TestTrain:
             assert "epoch" in str(exc) and "batch" in str(exc)
         # huge lr may still survive on a tiny model; divergence is not required
 
+    def test_non_finite_gradient_names_its_batch(self, rng, monkeypatch):
+        # the third batch (epoch 0, batch starting 8) gets one NaN gradient entry
+        ds = tiny_dataset(rng)
+        cfg = tiny_config(epochs=2, batch_size=4)
+        made, calls, snapshot = [], [], []
+        real_init, real_backward = models.init_params, harness.backward
+
+        def init(*args):
+            made.append(real_init(*args))
+            return made[-1]
+
+        def poisoned(loss):
+            real_backward(loss)
+            calls.append(loss)
+            if len(calls) == 3:
+                params = made[0].parameters()
+                snapshot.extend(p.data.copy() for p in params)
+                params[0].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(models, "init_params", init)
+        monkeypatch.setattr(harness, "backward", poisoned)
+        with pytest.raises(TrainingError, match=r"epoch 0, batch starting 8"):
+            train(cfg, ds)
+        # the bad gradient never reached the parameters
+        for p, before in zip(made[0].parameters(), snapshot):
+            np.testing.assert_array_equal(p.data, before)
+
     def test_evaluate_batch_size_irrelevant(self, rng):
         ds = tiny_dataset(rng)
         cfg = tiny_config(epochs=1)

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from conftest import check_gradients
 from deepkt import autodiff as ad
 from deepkt import models
 from deepkt.autodiff import Tensor
 from deepkt.datasets import InteractionSequence, pad_and_mask
-from deepkt.models import (DktArch, MemoryArch, attention, forward,
-                           forward_dkt, forward_sequence, init_dkt_params,
+from deepkt.models import (DktArch, MemoryArch, forward, forward_dkt,
+                           forward_sequence, init_dkt_params,
                            init_memory_params, init_params, load_checkpoint,
-                           mean_loss_value, predict_deep_irt, predict_dkvmn,
-                           prediction_set, read, save_checkpoint,
-                           sequence_loss, write)
+                           mean_loss_value, prediction_set, save_checkpoint,
+                           sequence_loss)
+from oracle import attention, predict_deep_irt, predict_dkvmn, read, write
 
 
 def make_batch(list_of_steps, seq_len, num_kcs):
@@ -237,6 +238,17 @@ class TestForwardDkt:
         np.testing.assert_array_equal(out.pred_mask[0], [0, 1, 1, 1])
         assert out.p[0, 0] == 0.5
 
+    def test_nothing_scored_gives_zero_loss_and_gradients(self):
+        # single-step rows have no cell to score
+        params = init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=1)
+        batch = make_batch([[(1, 1)], [(3, 0)]], 1, 4)
+        out = forward_dkt(params, batch)
+        loss = sequence_loss(out, batch)
+        ad.backward(loss)
+        assert loss.item() == 0.0 and prediction_set(out)[0].size == 0
+        for name, t in params.named_parameters():
+            np.testing.assert_array_equal(t.grad, 0.0, err_msg=name)
+
     def test_hand_computed_single_step(self):
         # 1 KC, hidden size 1: every gate value can be traced by hand
         params = init_dkt_params(DktArch(num_kcs=1, hidden=1), seed=0)
@@ -422,3 +434,66 @@ class TestModelGradients:
         for n, t in params.named_parameters():
             np.testing.assert_array_equal(grads[n], t.grad,
                                           err_msg=f"parameter {n}")
+
+
+class TestFusedMatchesOracle:
+    """The fused forwards against the per-step graphs of ``oracle`` on ragged
+    batches: every scored output, the loss and every gradient."""
+
+    ARCHS = {
+        "dkvmn": MemoryArch(num_kcs=6, mem_slots=4, state_dim=5, feature_dim=3),
+        "deep_irt": MemoryArch(num_kcs=6, mem_slots=4, state_dim=5,
+                               feature_dim=3, deep_irt=True),
+        "dkt": DktArch(num_kcs=6, hidden=5),
+    }
+
+    def run(self, params, batch, fused):
+        for t in params.parameters():
+            t.zero_grad()
+        if fused:
+            out = forward(params, batch)
+            loss = sequence_loss(out, batch)
+        else:
+            out = oracle.forward(params, batch)
+            loss = oracle.sequence_loss(out)
+        ad.backward(loss)
+        grads = {n: t.grad.copy() for n, t in params.named_parameters()}
+        return out, loss.item(), grads
+
+    @pytest.mark.parametrize("model", ["dkvmn", "deep_irt", "dkt"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_outputs_loss_and_gradients_agree(self, model, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(self.ARCHS[model], std=0.4, seed=seed)
+        lengths = rng.integers(1, 12, size=5).tolist()
+        batch = make_batch([random_steps(rng, n, 6) for n in lengths], 7, 6)
+        fused, loss_f, grads_f = self.run(params, batch, fused=True)
+        slow, loss_o, grads_o = self.run(params, batch, fused=False)
+        np.testing.assert_array_equal(fused.pred_mask, slow.pred_mask)
+        scored = fused.pred_mask == 1
+        assert loss_f == pytest.approx(loss_o, abs=1e-12)
+        np.testing.assert_allclose(fused.p[scored], slow.p[scored], atol=1e-12)
+        if model != "dkt":
+            np.testing.assert_allclose(fused.attention[scored],
+                                       slow.attention[scored], atol=1e-12)
+        if model == "deep_irt":
+            np.testing.assert_allclose(fused.theta[scored], slow.theta[scored],
+                                       atol=1e-12)
+            np.testing.assert_allclose(fused.beta[scored], slow.beta[scored],
+                                       atol=1e-12)
+        for name in grads_o:
+            np.testing.assert_allclose(grads_f[name], grads_o[name], atol=1e-12,
+                                       err_msg=f"parameter {name}")
+
+    @pytest.mark.parametrize("model", ["deep_irt", "dkt"])
+    def test_padded_cells_hold_neutral_values(self, rng, model):
+        params = init_params(self.ARCHS[model], std=0.4, seed=0)
+        batch = make_batch([random_steps(rng, 2, 6), random_steps(rng, 6, 6)], 6, 6)
+        out = forward(params, batch)
+        off = out.pred_mask == 0
+        assert off.sum() == (6 if model == "dkt" else 4)
+        np.testing.assert_array_equal(out.p[off], 0.5)
+        if model == "deep_irt":
+            np.testing.assert_array_equal(out.theta[off], 0.0)
+            np.testing.assert_array_equal(out.beta[off], 0.0)
+            np.testing.assert_array_equal(out.attention[off], 0.25)
