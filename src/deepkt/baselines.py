@@ -4,7 +4,7 @@ difficulty."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,16 @@ class IrtParams:
     grad_norm: float
 
 
-def irt_predict(theta_i: float, beta_j: float) -> float:
-    return float(_sigmoid(np.array([theta_i - beta_j]))[0])
+def irt_predict(theta_i, beta_j):
+    """P(correct) = sigmoid(theta - beta) for scalars or arrays."""
+    return _sigmoid(np.subtract(theta_i, beta_j))[()]
+
+
+def lookup(table: dict, keys, default: float = 0.0):
+    """``table[k]`` for each k of the scalar or array ``keys``; absent: ``default``."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    values = np.array([table.get(k, default) for k in unique.tolist()], dtype=np.float64)
+    return values[inverse].reshape(np.shape(keys))
 
 
 def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
@@ -38,13 +46,10 @@ def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
     """
     if not first_attempts:
         raise ValidationError("fit_irt needs at least one observation")
-    students = sorted({s for s, _, _ in first_attempts})
-    questions = sorted({q for _, q, _ in first_attempts})
-    s_index = {s: i for i, s in enumerate(students)}
-    q_index = {q: i for i, q in enumerate(questions)}
-    si = np.array([s_index[s] for s, _, _ in first_attempts])
-    qi = np.array([q_index[q] for _, q, _ in first_attempts])
-    y = np.array([a for _, _, a in first_attempts], dtype=np.float64)
+    students, questions, answers = zip(*first_attempts)
+    students, si = np.unique(students, return_inverse=True)
+    questions, qi = np.unique(questions, return_inverse=True)
+    y = np.array(answers, dtype=np.float64)
 
     theta = np.zeros(len(students))
     beta = np.zeros(len(questions))
@@ -86,8 +91,8 @@ def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
     converged = grad_norm < tol
     if not converged:
         warnings.warn(f"fit_irt stopped at gradient norm {grad_norm:.3g}")
-    return IrtParams(theta={s: float(theta[i]) for s, i in s_index.items()},
-                     beta={q: float(beta[i]) for q, i in q_index.items()},
+    return IrtParams(theta=dict(zip(students.tolist(), theta.tolist())),
+                     beta=dict(zip(questions.tolist(), beta.tolist())),
                      converged=converged, grad_norm=grad_norm)
 
 
@@ -140,82 +145,96 @@ class LfaCoeffs:
     converged: bool = True
 
 
-def _fit_logistic_design(X, y, l2, max_iters, tol):
-    """IRLS Newton on the L2-penalized logistic likelihood."""
-    w = np.zeros(X.shape[1])
+def _block_newton(rows, skill, shared_x, y, l2, max_iters, tol):
+    """Newton on the L2-penalized logistic likelihood where observation i has
+    features ``rows[i]`` on its skill's k coefficients and ``shared_x[i]`` on one
+    coefficient shared by all skills (zeros keep it 0).  The Hessian is Q k x k
+    blocks bordered by the shared row: each step solves the blocks as one batch
+    and eliminates the shared coefficient through the Schur complement."""
+    k = rows.shape[1]
+    num_skills = skill.max(initial=-1) + 1
+
+    def per_skill(values):
+        # sum the rows of an n x ... array that share a skill: Q x ...
+        m = int(np.prod(values.shape[1:]))
+        index = (skill[:, None] * m + np.arange(m)).ravel()
+        return np.bincount(index, values.ravel(), num_skills * m).reshape(
+            (num_skills,) + values.shape[1:])
+
+    w = np.zeros((num_skills, k))
+    shared = 0.0
     grad_norm = np.inf
     for _ in range(max_iters):
-        p = _sigmoid(X @ w)
-        grad = X.T @ (y - p) - l2 * w
-        grad_norm = float(np.linalg.norm(grad))
+        p = _sigmoid((rows * w[skill]).sum(axis=1) + shared * shared_x)
+        resid = y - p
+        grad = per_skill(rows * resid[:, None]) - l2 * w
+        g_shared = (shared_x * resid).sum() - l2 * shared
+        grad_norm = float(np.sqrt((grad ** 2).sum() + g_shared ** 2))
         if grad_norm < tol:
             break
         r = np.maximum(p * (1.0 - p), 1e-10)
-        hess = (X.T * r) @ X + l2 * np.eye(X.shape[1])
-        w += np.linalg.solve(hess, grad)
+        hess = per_skill(r[:, None, None] * rows[:, :, None] * rows[:, None, :]) \
+            + l2 * np.eye(k)
+        border = per_skill(rows * (r * shared_x)[:, None])
+        u, v = np.moveaxis(np.linalg.solve(hess, np.stack([grad, border], axis=2)), 2, 0)
+        step = (g_shared - (border * u).sum()) / \
+            ((r * shared_x ** 2).sum() + l2 - (border * v).sum())
+        w += u - v * step
+        shared += step
     converged = grad_norm < tol
     if not converged:
         warnings.warn(f"logistic fit stopped at gradient norm {grad_norm:.3g}")
-    if np.abs(w).max() > 10.0:
+    if max(np.abs(w).max(initial=0.0), abs(shared)) > 10.0:
         warnings.warn("possible perfect separation: a coefficient exceeded 10")
-    return w, converged
+    return w, shared, converged
 
 
 def fit_logistic(features: PfaFeatures, labels=None, design: str = "PFA",
                  l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
                  tol: float = GRAD_TOL):
     """Fit PFA (per-skill alpha/rho/beta) or LFA (global theta, per-skill
-    gamma/beta) coefficients by penalized IRLS."""
+    gamma/beta) coefficients by penalized Newton on the per-skill blocks."""
     y = features.label.astype(np.float64) if labels is None \
         else np.asarray(labels, dtype=np.float64)
-    skills = sorted(set(features.skill.tolist()))
-    idx = {j: i for i, j in enumerate(skills)}
-    n = len(features)
-    rows = np.arange(n)
-    col = np.array([idx[j] for j in features.skill])
-
-    if design.upper() == "PFA":
+    design = design.upper()
+    if design == "PFA":
         # per skill j: [alpha_j, rho_j, beta_j] with P = sigmoid(aS + rF - b)
-        X = np.zeros((n, 3 * len(skills)))
-        X[rows, 3 * col] = features.successes
-        X[rows, 3 * col + 1] = features.failures
-        X[rows, 3 * col + 2] = -1.0
-        w, converged = _fit_logistic_design(X, y, l2, max_iters, tol)
-        return PfaCoeffs(alpha={j: float(w[3 * idx[j]]) for j in skills},
-                         rho={j: float(w[3 * idx[j] + 1]) for j in skills},
-                         beta={j: float(w[3 * idx[j] + 2]) for j in skills},
-                         converged=converged)
-
-    if design.upper() == "LFA":
+        cols = [features.successes, features.failures]
+    elif design == "LFA":
         # global theta plus per skill [gamma_j, beta_j]; N_j = S + F
-        attempts = features.successes + features.failures
-        X = np.zeros((n, 1 + 2 * len(skills)))
-        X[:, 0] = 1.0
-        X[rows, 1 + 2 * col] = attempts
-        X[rows, 2 + 2 * col] = -1.0
-        w, converged = _fit_logistic_design(X, y, l2, max_iters, tol)
-        return LfaCoeffs(theta=float(w[0]),
-                         gamma={j: float(w[1 + 2 * idx[j]]) for j in skills},
-                         beta={j: float(w[2 + 2 * idx[j]]) for j in skills},
-                         converged=converged)
-
-    raise ValidationError(f"unknown design {design!r}")
-
-
-def pfa_predict(coeffs: PfaCoeffs, successes: float, failures: float, skill) -> float:
-    if skill not in coeffs.alpha:
-        warnings.warn(f"skill {skill} unseen during PFA fit; predicting 0.5")
-        return 0.5
-    z = coeffs.alpha[skill] * successes + coeffs.rho[skill] * failures - coeffs.beta[skill]
-    return float(_sigmoid(np.array([z]))[0])
+        cols = [features.successes + features.failures]
+    else:
+        raise ValidationError(f"unknown design {design!r}")
+    skills, skill = np.unique(features.skill, return_inverse=True)
+    rows = np.stack(cols + [-np.ones(len(y))], axis=1)
+    shared_x = np.full(len(y), float(design == "LFA"))   # theta's feature
+    w, theta, converged = _block_newton(rows, skill, shared_x, y, l2, max_iters, tol)
+    coeffs = [dict(zip(skills.tolist(), col)) for col in w.T.tolist()]
+    if design == "LFA":
+        return LfaCoeffs(float(theta), *coeffs, converged=converged)
+    return PfaCoeffs(*coeffs, converged=converged)
 
 
-def lfa_predict(coeffs: LfaCoeffs, attempts: float, skill) -> float:
-    if skill not in coeffs.gamma:
-        warnings.warn(f"skill {skill} unseen during LFA fit; predicting 0.5")
-        return 0.5
-    z = coeffs.theta + coeffs.gamma[skill] * attempts - coeffs.beta[skill]
-    return float(_sigmoid(np.array([z]))[0])
+def _score_skills(z, skill, fitted: dict, model: str):
+    """sigmoid(z) on the skills in ``fitted``, 0.5 elsewhere (one warning)."""
+    seen = np.isin(skill, list(fitted))
+    if not seen.all():
+        unseen = ", ".join(map(str, np.unique(np.asarray(skill)[~seen]).tolist()))
+        warnings.warn(f"skill {unseen} unseen during {model} fit; predicting 0.5")
+    return np.where(seen, _sigmoid(z), 0.5)[()]
+
+
+def pfa_predict(coeffs: PfaCoeffs, successes, failures, skill):
+    """PFA P(correct) for scalars or equal-shape arrays of counts and skills."""
+    alpha, rho, beta = (lookup(t, skill) for t in (coeffs.alpha, coeffs.rho, coeffs.beta))
+    return _score_skills(alpha * successes + rho * failures - beta, skill,
+                         coeffs.alpha, "PFA")
+
+
+def lfa_predict(coeffs: LfaCoeffs, attempts, skill):
+    """LFA P(correct) for scalars or equal-shape arrays of attempts and skills."""
+    z = coeffs.theta + lookup(coeffs.gamma, skill) * attempts - lookup(coeffs.beta, skill)
+    return _score_skills(z, skill, coeffs.gamma, "LFA")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, datasets, harness, models
+from . import datasets, harness, models
 from .datasets import SequenceParseError, ValidationError
 
 

@@ -4,7 +4,7 @@ synthetic student generator."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +52,6 @@ class PaddedBatch:
     def batch_size(self):
         return self.q_ids.shape[0]
 
-    @property
-    def seq_len(self):
-        return self.q_ids.shape[1]
-
 
 @dataclass
 class SyntheticConfig:
@@ -84,12 +80,15 @@ class SyntheticGroundTruth:
     theta: np.ndarray              # (S, K) ability per student and concept
 
 
-def encode_interaction(q: int, a: int, num_kcs: int) -> int:
-    """Combined interaction id: q + a * Q, in [1, 2Q]."""
-    if not (1 <= q <= num_kcs):
-        raise IndexOutOfRangeError(f"question id {q} outside [1, {num_kcs}]")
-    if a not in (0, 1):
-        raise ValidationError(f"answer bit must be 0 or 1, got {a}")
+def encode_interaction(q, a, num_kcs: int):
+    """Combined interaction id: q + a * Q, in [1, 2Q]; q and a may be arrays."""
+    q, a = np.asarray(q), np.asarray(a)
+    bad_q = (q < 1) | (q > num_kcs)
+    if bad_q.any():
+        raise IndexOutOfRangeError(f"question id {q[bad_q][0]} outside [1, {num_kcs}]")
+    bad_a = (a != 0) & (a != 1)
+    if bad_a.any():
+        raise ValidationError(f"answer bit must be 0 or 1, got {a[bad_a][0]}")
     return q + a * num_kcs
 
 
@@ -164,22 +163,19 @@ def pad_and_mask(seqs, seq_len: int, num_kcs: int) -> PaddedBatch:
     """
     if seq_len < 1:
         raise ValidationError(f"seq_len must be >= 1, got {seq_len}")
-    rows = []
-    for seq in seqs:
-        for start in range(0, len(seq.steps), seq_len):
-            rows.append(seq.steps[start:start + seq_len])
-    batch = len(rows)
-    q_ids = np.zeros((batch, seq_len), dtype=np.int64)
-    qa_ids = np.zeros((batch, seq_len), dtype=np.int64)
-    answers = np.zeros((batch, seq_len), dtype=np.int64)
-    mask = np.zeros((batch, seq_len), dtype=np.int64)
-    for b, chunk in enumerate(rows):
-        for t, (q, a) in enumerate(chunk):
-            q_ids[b, t] = q
-            qa_ids[b, t] = encode_interaction(q, a, num_kcs)
-            answers[b, t] = a
-            mask[b, t] = 1
-    return PaddedBatch(q_ids=q_ids, qa_ids=qa_ids, answers=answers, mask=mask)
+    lengths = np.array([len(seq.steps) for seq in seqs], dtype=np.int64)
+    q, a = np.array([step for seq in seqs for step in seq.steps]).reshape(-1, 2).T
+    qa = encode_interaction(q, a, num_kcs)
+    # step t of a sequence lands in its (t // seq_len)-th chunk, column t % seq_len
+    chunks = -(-lengths // seq_len)
+    t = np.arange(len(q)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    row = np.repeat(np.cumsum(chunks) - chunks, lengths) + t // seq_len
+    col = t % seq_len
+    grids = {name: np.zeros((int(chunks.sum()), seq_len), dtype=np.int64)
+             for name in ("q_ids", "qa_ids", "answers", "mask")}
+    for grid, values in zip(grids.values(), (q, qa, a, 1)):
+        grid[row, col] = values
+    return PaddedBatch(**grids)
 
 
 def split_train_test(ds: Dataset, test_fraction: float, seed: int):

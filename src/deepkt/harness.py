@@ -4,7 +4,7 @@ difficulty/trajectory exports."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, replace, asdict
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from . import baselines, metrics, models
 from .autodiff import AdamState, adam_step, backward, clip_global_norm
 from .datasets import Dataset, ValidationError, kfold, pad_and_mask, split_train_test
-from .metrics import EvalReport, PredictionSet, TrialResult, aggregate_trials
+from .metrics import PredictionSet, TrialResult, aggregate_trials
 
 DEEP_MODELS = ("dkt", "dkvmn", "deep_irt")
 BASELINE_MODELS = ("pfa", "lfa", "irt", "item_analysis")
@@ -155,43 +155,24 @@ def _trial_metrics(pred: PredictionSet, seed: int) -> TrialResult:
 def evaluate_baseline(model: str, train_ds: Dataset, test_ds: Dataset,
                       min_students: int = 10) -> PredictionSet:
     """Fit a classical model on the train split and score test steps online."""
+    test = baselines.build_pfa_features(test_ds.sequences)
     if model in ("pfa", "lfa"):
         feats = baselines.build_pfa_features(train_ds.sequences)
         coeffs = baselines.fit_logistic(feats, design=model.upper())
-        scores, labels = [], []
-        for seq in test_ds.sequences:
-            counts = {}
-            for q, a in seq.steps:
-                s, f = counts.get(q, (0, 0))
-                if model == "pfa":
-                    scores.append(baselines.pfa_predict(coeffs, s, f, q))
-                else:
-                    scores.append(baselines.lfa_predict(coeffs, s + f, q))
-                labels.append(a)
-                counts[q] = (s + a, f + (1 - a))
-        return PredictionSet(np.array(scores), np.array(labels))
-
-    if model == "irt":
+        scores = (baselines.pfa_predict(coeffs, test.successes, test.failures, test.skill)
+                  if model == "pfa" else
+                  baselines.lfa_predict(coeffs, test.successes + test.failures, test.skill))
+    elif model == "irt":
         fit = baselines.fit_irt(baselines.first_attempts(train_ds.sequences))
-        # test students are cold (theta unknown): use the anchored mean 0
-        scores, labels = [], []
-        for seq in test_ds.sequences:
-            for q, a in seq.steps:
-                scores.append(baselines.irt_predict(0.0, fit.beta[q])
-                              if q in fit.beta else 0.5)
-                labels.append(a)
-        return PredictionSet(np.array(scores), np.array(labels))
-
-    if model == "item_analysis":
+        # test students are cold (theta unknown): use the anchored mean 0;
+        # an unseen question reads beta 0, so it scores 0.5
+        scores = baselines.irt_predict(0.0, baselines.lookup(fit.beta, test.skill))
+    elif model == "item_analysis":
         diff = baselines.item_analysis(train_ds.sequences, min_students)
-        scores, labels = [], []
-        for seq in test_ds.sequences:
-            for q, a in seq.steps:
-                scores.append(1.0 - diff[q] if q in diff else 0.5)
-                labels.append(a)
-        return PredictionSet(np.array(scores), np.array(labels))
-
-    raise ValidationError(f"unknown baseline {model!r}")
+        scores = 1.0 - baselines.lookup(diff, test.skill, default=0.5)
+    else:
+        raise ValidationError(f"unknown baseline {model!r}")
+    return PredictionSet(scores, test.label)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,10 @@ def tied_ranks(values) -> np.ndarray:
     order = np.argsort(v, kind="mergesort")
     s = v[order]
     n = len(v)
-    bounds = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
+    lo = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])   # start of each run
+    hi = np.r_[lo[1:], n]
     ranks = np.empty(n)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ranks[order[lo:hi]] = (lo + hi + 1) / 2.0
+    ranks[order] = np.repeat((lo + hi + 1) / 2.0, hi - lo)
     return ranks
 
 

@@ -1,17 +1,22 @@
-"""Per-step reference forwards for DKVMN, Deep-IRT and DKT.
+"""Slow reference implementations that the fast paths are tested against.
 
-These build one small graph node per operation and time step, exactly as the
-models were first written.  The fused forwards in ``deepkt.models`` must agree
-with them on every scored step, in values and in gradients.
+The per-step forwards for DKVMN, Deep-IRT and DKT build one small graph node
+per operation and time step, exactly as the models were first written.  The
+fused forwards in ``deepkt.models`` must agree with them on every scored step,
+in values and in gradients.  The dense IRLS fit, the per-step baseline scoring
+and the run-by-run rank loop are the references for ``deepkt.baselines``,
+``harness.evaluate_baseline`` and ``metrics.tied_ranks``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from deepkt import autodiff as ad
+from deepkt import baselines
 from deepkt.autodiff import Tensor
 from deepkt.models import ABILITY_SCALE, PROB_EPS, DkvmnParams, DktParams
 
@@ -145,3 +150,114 @@ def sequence_loss(outputs: OracleOutputs) -> Tensor:
     """Summed cross-entropy over the scored cells of the B x L grid."""
     return ad.binary_cross_entropy(outputs.prob_tensor, outputs.answers,
                                    outputs.pred_mask, eps=PROB_EPS)
+
+
+# ---------------------------------------------------------------------------
+# dense reference fit and per-step scoring for the classical baselines
+
+
+def fit_logistic_dense(features, design, l2=baselines.L2_PENALTY,
+                       max_iters=baselines.MAX_ITERS, tol=baselines.GRAD_TOL):
+    """PFA/LFA by IRLS Newton on the dense n x (kQ) design, as first written;
+    warns exactly as ``baselines.fit_logistic`` does."""
+    y = features.label.astype(np.float64)
+    skills = sorted(set(features.skill.tolist()))
+    idx = {j: i for i, j in enumerate(skills)}
+    n = len(features)
+    rows = np.arange(n)
+    col = np.array([idx[j] for j in features.skill])
+    if design == "PFA":
+        X = np.zeros((n, 3 * len(skills)))
+        X[rows, 3 * col] = features.successes
+        X[rows, 3 * col + 1] = features.failures
+        X[rows, 3 * col + 2] = -1.0
+    else:
+        X = np.zeros((n, 1 + 2 * len(skills)))
+        X[:, 0] = 1.0
+        X[rows, 1 + 2 * col] = features.successes + features.failures
+        X[rows, 2 + 2 * col] = -1.0
+
+    w = np.zeros(X.shape[1])
+    grad_norm = np.inf
+    for _ in range(max_iters):
+        p = ad._sigmoid(X @ w)
+        grad = X.T @ (y - p) - l2 * w
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm < tol:
+            break
+        r = np.maximum(p * (1.0 - p), 1e-10)
+        hess = (X.T * r) @ X + l2 * np.eye(X.shape[1])
+        w += np.linalg.solve(hess, grad)
+    converged = grad_norm < tol
+    if not converged:
+        warnings.warn(f"logistic fit stopped at gradient norm {grad_norm:.3g}")
+    if np.abs(w).max() > 10.0:
+        warnings.warn("possible perfect separation: a coefficient exceeded 10")
+
+    if design == "PFA":
+        return baselines.PfaCoeffs(
+            alpha={j: float(w[3 * idx[j]]) for j in skills},
+            rho={j: float(w[3 * idx[j] + 1]) for j in skills},
+            beta={j: float(w[3 * idx[j] + 2]) for j in skills},
+            converged=converged)
+    return baselines.LfaCoeffs(
+        theta=float(w[0]),
+        gamma={j: float(w[1 + 2 * idx[j]]) for j in skills},
+        beta={j: float(w[2 + 2 * idx[j]]) for j in skills},
+        converged=converged)
+
+
+def evaluate_baseline_per_step(model, train_ds, test_ds, min_students=10):
+    """Score each test step with one scalar predictor call, counting the
+    student's earlier attempts as they happen."""
+    if model in ("pfa", "lfa"):
+        feats = baselines.build_pfa_features(train_ds.sequences)
+        coeffs = baselines.fit_logistic(feats, design=model.upper())
+    elif model == "irt":
+        fit = baselines.fit_irt(baselines.first_attempts(train_ds.sequences))
+    else:
+        diff = baselines.item_analysis(train_ds.sequences, min_students)
+    scores, labels = [], []
+    for seq in test_ds.sequences:
+        counts = {}
+        for q, a in seq.steps:
+            s, f = counts.get(q, (0, 0))
+            if model == "pfa":
+                scores.append(baselines.pfa_predict(coeffs, s, f, q))
+            elif model == "lfa":
+                scores.append(baselines.lfa_predict(coeffs, s + f, q))
+            elif model == "irt":
+                scores.append(baselines.irt_predict(0.0, fit.beta[q])
+                              if q in fit.beta else 0.5)
+            else:
+                scores.append(1.0 - diff[q] if q in diff else 0.5)
+            labels.append(a)
+            counts[q] = (s + a, f + (1 - a))
+    return np.array(scores), np.array(labels)
+
+
+def tied_ranks_loop(values):
+    """Average ranks assigned run by run of equal sorted values."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="mergesort")
+    s = v[order]
+    bounds = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
+    ranks = np.empty(len(v))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ranks[order[lo:hi]] = (lo + hi + 1) / 2.0
+    return ranks
+
+
+def pad_and_mask_loop(seqs, seq_len, num_kcs):
+    """The B x L grids of ``datasets.pad_and_mask`` filled one step at a time."""
+    rows = [seq.steps[start:start + seq_len]
+            for seq in seqs for start in range(0, len(seq.steps), seq_len)]
+    grids = {name: np.zeros((len(rows), seq_len), dtype=np.int64)
+             for name in ("q_ids", "qa_ids", "answers", "mask")}
+    for b, chunk in enumerate(rows):
+        for t, (q, a) in enumerate(chunk):
+            grids["q_ids"][b, t] = q
+            grids["qa_ids"][b, t] = q + a * num_kcs
+            grids["answers"][b, t] = a
+            grids["mask"][b, t] = 1
+    return grids

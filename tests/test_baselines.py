@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import oracle
 from deepkt.baselines import (IrtParams, LfaCoeffs, PfaCoeffs,
                               build_pfa_features, first_attempts, fit_irt,
                               fit_logistic, irt_predict, item_analysis,
@@ -183,6 +185,97 @@ class TestFitLogistic:
             fit_logistic(build_pfa_features(seqs), design="PFA")
 
 
+def random_seqs(rng, n_students, num_skills, max_len):
+    return [seq(i, zip(rng.integers(1, num_skills + 1, n).tolist(),
+                       rng.integers(0, 2, n).tolist()))
+            for i, n in enumerate(rng.integers(1, max_len + 1, n_students))]
+
+
+def until_first_success(rng, n_students, skill, p=0.3):
+    """Attempts on ``skill`` that stop at the first correct answer, so no
+    observation of it has a prior success."""
+    seqs = []
+    for i in range(n_students):
+        steps = []
+        while len(steps) < 6:
+            steps.append((skill, int(rng.random() < p)))
+            if steps[-1][1]:
+                break
+        seqs.append(seq(i, steps))
+    return seqs
+
+
+def _logistic_cases():
+    """(name, sequences, max_iters) for the block-vs-dense comparison."""
+    cases = []
+    for s in (0, 1, 2):
+        rng = np.random.default_rng(s)
+        cases.append((f"random-{s}", random_seqs(rng, 60, 3 + 2 * s, 25), 500))
+    rng = np.random.default_rng(3)
+    cases.append(("no-prior-success",
+                  random_seqs(rng, 40, 4, 20) + until_first_success(rng, 80, 5), 500))
+    rng = np.random.default_rng(4)
+    # skill 4 is always answered correctly: its coefficients run off
+    always = [seq(100 + i, [(4, 1)] * int(n)) for i, n in
+              enumerate(rng.integers(1, 5, 30))]
+    cases.append(("separable", random_seqs(rng, 40, 3, 15) + always, 500))
+    rng = np.random.default_rng(5)
+    cases.append(("max-iters-2", random_seqs(rng, 50, 4, 20), 2))
+    return cases
+
+
+LOGISTIC_CASES = _logistic_cases()
+
+
+def coefficient_vector(coeffs):
+    if isinstance(coeffs, PfaCoeffs):
+        tables = [coeffs.alpha, coeffs.rho, coeffs.beta]
+        head = []
+    else:
+        tables = [coeffs.gamma, coeffs.beta]
+        head = [coeffs.theta]
+    return np.array(head + [t[j] for t in tables for j in sorted(t)])
+
+
+class TestBlockNewtonMatchesDense:
+    """The per-skill block Newton fit against the dense IRLS of ``oracle``."""
+
+    @pytest.mark.parametrize("design", ["PFA", "LFA"])
+    @pytest.mark.parametrize("name,seqs,max_iters", LOGISTIC_CASES,
+                             ids=[c[0] for c in LOGISTIC_CASES])
+    def test_same_fit(self, design, name, seqs, max_iters):
+        feats = build_pfa_features(seqs)
+        with warnings.catch_warnings(record=True) as fast_warnings:
+            warnings.simplefilter("always")
+            fast = fit_logistic(feats, design=design, max_iters=max_iters)
+        with warnings.catch_warnings(record=True) as dense_warnings:
+            warnings.simplefilter("always")
+            dense = oracle.fit_logistic_dense(feats, design, max_iters=max_iters)
+        assert type(fast) is type(dense)
+        if design == "PFA":
+            assert sorted(fast.alpha) == sorted(dense.alpha) == sorted(fast.beta)
+        else:
+            assert sorted(fast.gamma) == sorted(dense.gamma) == sorted(fast.beta)
+        np.testing.assert_allclose(coefficient_vector(fast),
+                                   coefficient_vector(dense), rtol=0, atol=1e-8)
+        assert fast.converged == dense.converged
+        assert [str(w.message) for w in fast_warnings] == \
+            [str(w.message) for w in dense_warnings]
+
+    def test_cases_cover_the_edges(self):
+        # the case list must keep a no-prior-success skill, a separable skill
+        # and a fit stopped by max_iters
+        by_name = {name: (seqs, it) for name, seqs, it in LOGISTIC_CASES}
+        feats = build_pfa_features(by_name["no-prior-success"][0])
+        assert feats.successes[feats.skill == 5].max() == 0
+        for name, want in (("separable", "separation"),
+                           ("max-iters-2", "gradient norm")):
+            seqs, max_iters = by_name[name]
+            with pytest.warns(UserWarning, match=want):
+                fit_logistic(build_pfa_features(seqs), design="PFA",
+                             max_iters=max_iters)
+
+
 class TestPredictors:
     def test_pfa_predict_formula(self):
         coeffs = PfaCoeffs(alpha={1: 0.3}, rho={1: -0.1}, beta={1: 0.2})
@@ -201,6 +294,22 @@ class TestPredictors:
         lcoeffs = LfaCoeffs(theta=0.0, gamma={}, beta={})
         with pytest.warns(UserWarning, match="unseen"):
             assert lfa_predict(lcoeffs, 0, 7) == 0.5
+
+    def test_arrays_score_like_scalars_and_warn_once(self):
+        coeffs = PfaCoeffs(alpha={1: 0.3, 2: 0.1}, rho={1: -0.1, 2: 0.2},
+                           beta={1: 0.2, 2: -0.4})
+        S = np.array([4.0, 0.0, 1.0, 3.0])
+        F = np.array([2.0, 1.0, 0.0, 5.0])
+        skills = np.array([1, 2, 9, 9])
+        with pytest.warns(UserWarning, match="skill 9 unseen") as caught:
+            p = pfa_predict(coeffs, S, F, skills)
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expect = [pfa_predict(coeffs, *args) for args in zip(S, F, skills)]
+        np.testing.assert_array_equal(p, expect)
+        assert irt_predict(np.zeros(2), np.array([0.0, 2.0])) == \
+            pytest.approx([0.5, irt_predict(0.0, 2.0)], abs=0)
 
 
 class TestItemAnalysis:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import oracle
 from deepkt import datasets
+from deepkt.autodiff import IndexOutOfRangeError
 from deepkt.datasets import (Dataset, InteractionSequence, SequenceParseError,
                              SyntheticConfig, ValidationError, encode_interaction,
                              generate_synthetic, kfold, load_sequences,
@@ -112,6 +114,29 @@ class TestPadAndMask:
                      for q, a, m in zip(b.q_ids[row], b.answers[row], b.mask[row])
                      if m]
         assert recovered == steps
+
+    def test_matches_step_loop(self, rng):
+        seqs = [make_seq(i, zip(rng.integers(1, 9, n).tolist(),
+                                rng.integers(0, 2, n).tolist()))
+                for i, n in enumerate(rng.integers(0, 23, 9))]
+        for seq_len in (1, 4, 7, 30):
+            b = pad_and_mask(seqs, seq_len, 8)
+            want = oracle.pad_and_mask_loop(seqs, seq_len, 8)
+            for name in ("q_ids", "qa_ids", "answers", "mask"):
+                np.testing.assert_array_equal(getattr(b, name), want[name])
+                assert getattr(b, name).dtype == np.int64
+
+    @pytest.mark.parametrize("q", [0, -1, 9])
+    def test_question_out_of_range_rejected(self, q):
+        seqs = [make_seq(0, [(1, 1), (2, 0)]), make_seq(1, [(3, 1), (q, 0), (4, 1)])]
+        with pytest.raises(IndexOutOfRangeError, match=f"question id {q} "):
+            pad_and_mask(seqs, 2, 8)
+
+    @pytest.mark.parametrize("a", [2, -1, 0.5])
+    def test_answer_not_a_bit_rejected(self, a):
+        seqs = [make_seq(0, [(1, 1), (2, 0)]), make_seq(1, [(3, 1), (4, a)])]
+        with pytest.raises(ValidationError, match="answer bit"):
+            pad_and_mask(seqs, 3, 8)
 
 
 class TestSplits:

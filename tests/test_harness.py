@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import oracle
 from deepkt import harness, models
 from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
                              ValidationError, generate_synthetic)
@@ -186,6 +188,25 @@ class TestBaselineEvaluation:
                 if q in diff:
                     assert pred.scores[k] == pytest.approx(1 - diff[q], abs=1e-12)
                 k += 1
+
+    @pytest.mark.parametrize("model", ["pfa", "lfa", "irt", "item_analysis"])
+    def test_matches_per_step_scoring_with_unseen_skill(self, rng, model):
+        # skill 4 and question 4 never occur in the train split
+        tr, te = self.make_splits(rng)
+        te = te + [InteractionSequence("new", [(4, 1), (1, 0), (4, 0), (4, 1)])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pred = evaluate_baseline(model, Dataset(4, tr), Dataset(4, te),
+                                     min_students=2)
+        unseen = [w for w in caught if "unseen" in str(w.message)]
+        assert len(unseen) == (1 if model in ("pfa", "lfa") else 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scores, labels = oracle.evaluate_baseline_per_step(
+                model, Dataset(4, tr), Dataset(4, te), min_students=2)
+        np.testing.assert_allclose(pred.scores, scores, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(pred.labels, labels)
+        assert np.all(pred.scores[-4:][[0, 2, 3]] == 0.5)
 
     def test_unknown_baseline(self, rng):
         tr, te = self.make_splits(rng)

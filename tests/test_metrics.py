@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracle
 from deepkt.metrics import (EvalReport, MetricUndefinedError, PredictionSet,
                             TrialResult, accuracy, aggregate_trials, auc,
                             mean_xent, pearson, t_sf_two_tailed, tied_ranks,
@@ -75,6 +76,17 @@ class TestAuc:
     def test_tied_ranks(self):
         np.testing.assert_array_equal(tied_ranks([10, 20, 20, 30]),
                                       [1.0, 2.5, 2.5, 4.0])
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(0).integers(0, 30, 2000) / 7.0,
+        np.round(np.random.default_rng(1).random(500), 2),
+        np.full(37, 0.25),
+        np.array([0.5]),
+        np.array([]),
+    ], ids=["many-ties", "rounded", "all-tied", "single", "empty"])
+    def test_tied_ranks_match_run_loop(self, values):
+        np.testing.assert_array_equal(tied_ranks(values),
+                                      oracle.tied_ranks_loop(values))
 
 
 class TestAccuracy:
