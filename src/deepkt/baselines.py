@@ -189,13 +189,12 @@ def _block_newton(rows, skill, shared_x, y, l2, max_iters, tol):
     return w, shared, converged
 
 
-def fit_logistic(features: PfaFeatures, labels=None, design: str = "PFA",
+def fit_logistic(features: PfaFeatures, design: str = "PFA",
                  l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
                  tol: float = GRAD_TOL):
     """Fit PFA (per-skill alpha/rho/beta) or LFA (global theta, per-skill
     gamma/beta) coefficients by penalized Newton on the per-skill blocks."""
-    y = features.label.astype(np.float64) if labels is None \
-        else np.asarray(labels, dtype=np.float64)
+    y = features.label.astype(np.float64)
     design = design.upper()
     if design == "PFA":
         # per skill j: [alpha_j, rho_j, beta_j] with P = sigmoid(aS + rF - b)

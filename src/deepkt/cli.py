@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import datasets, harness, models
@@ -21,46 +22,41 @@ def _load_config(args) -> harness.TrainConfig:
     if getattr(args, "config", None):
         d.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
     # flag overrides win over the config file
-    for name in harness.TrainConfig.__dataclass_fields__:
-        val = getattr(args, name, None)
+    for f in fields(harness.TrainConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            d[name] = val
+            d[f.name] = val
     return harness.TrainConfig.from_dict(d)
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _add_config_flags(p, include_model=True):
     p.add_argument("--config", help="JSON file of TrainConfig fields")
     if include_model:
-        p.add_argument("--model", choices=harness.DEEP_MODELS + harness.BASELINE_MODELS)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--init-std", dest="init_std", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--mem-slots", dest="mem_slots", type=int)
-    p.add_argument("--state-dim", dest="state_dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--trials", type=int)
+        p.add_argument("--model", choices=models.KINDS + harness.BASELINE_MODELS)
+    for f in fields(harness.TrainConfig):
+        if f.name != "model":
+            p.add_argument(_flag(f.name), type=type(f.default))
 
 
-def _grid_from_args(args):
-    grid = harness.GridSpec()
-    if args.state_dims:
-        grid.state_dims = tuple(int(x) for x in args.state_dims.split(","))
-    if args.memory_sizes:
-        grid.memory_sizes = tuple(int(x) for x in args.memory_sizes.split(","))
-    return grid
+def _int_list(text):
+    return tuple(int(x) for x in text.split(","))
 
 
 def _add_grid_flags(p):
-    p.add_argument("--state-dims", dest="state_dims",
-                   help="comma-separated grid of state dimensions")
-    p.add_argument("--memory-sizes", dest="memory_sizes",
-                   help="comma-separated grid of memory sizes")
+    for f in fields(harness.GridSpec):
+        p.add_argument(_flag(f.name), type=_int_list,
+                       help=f"comma-separated grid of {f.name.replace('_', ' ')}")
+
+
+def _grid_from_args(args):
+    """The GridSpec the grid flags set, or None when none was given."""
+    given = {f.name: getattr(args, f.name) for f in fields(harness.GridSpec)
+             if getattr(args, f.name) is not None}
+    return harness.GridSpec(**given) if given else None
 
 
 def cmd_gen_synthetic(args):
@@ -93,19 +89,18 @@ def cmd_grid(args):
     cfg = _load_config(args)
     ds = datasets.load_sequences(args.data)
     train_ds, _ = datasets.split_train_test(ds, cfg.test_fraction, cfg.seed)
-    best, table = harness.grid_search(_grid_from_args(args), cfg, train_ds)
+    grid = _grid_from_args(args) or harness.GridSpec()
+    _, table = harness.grid_search(grid, cfg, train_ds)
     for row in table:
         print(f"{row['point']}  cv_loss={row['cv_loss']:.4f}  "
               f"params={row['num_params']}")
-    print(f"best: {best.model} "
-          + (f"hidden={best.hidden}" if best.model == "dkt"
-             else f"N={best.mem_slots} dim={best.state_dim}"))
+    print(f"best: {cfg.model} {harness.select_best(table)['point']}")
 
 
 def cmd_experiment(args):
     cfg = _load_config(args)
     ds = datasets.load_sequences(args.data)
-    grid = _grid_from_args(args) if (args.state_dims or args.memory_sizes) else None
+    grid = _grid_from_args(args)
     doc = harness.run_experiment(cfg, grid, ds)
     Path(args.report).write_text(harness.report_json(doc), encoding="utf-8")
     print(f"AUC {doc['mean']['auc']:.4f} +- {doc['std']['auc']:.4f}  "

@@ -83,6 +83,9 @@ class SyntheticGroundTruth:
 def encode_interaction(q, a, num_kcs: int):
     """Combined interaction id: q + a * Q, in [1, 2Q]; q and a may be arrays."""
     q, a = np.asarray(q), np.asarray(a)
+    fractional = q % 1 != 0
+    if fractional.any():
+        raise ValidationError(f"question id {q[fractional][0]} is not an integer")
     bad_q = (q < 1) | (q > num_kcs)
     if bad_q.any():
         raise IndexOutOfRangeError(f"question id {q[bad_q][0]} outside [1, {num_kcs}]")

@@ -14,7 +14,6 @@ from .autodiff import AdamState, adam_step, backward, clip_global_norm
 from .datasets import Dataset, ValidationError, kfold, pad_and_mask, split_train_test
 from .metrics import PredictionSet, TrialResult, aggregate_trials
 
-DEEP_MODELS = ("dkt", "dkvmn", "deep_irt")
 BASELINE_MODELS = ("pfa", "lfa", "irt", "item_analysis")
 
 
@@ -41,7 +40,7 @@ class TrainConfig:
     trials: int = 5
 
     def validate(self):
-        if self.model not in DEEP_MODELS + BASELINE_MODELS:
+        if self.model not in models.KINDS + BASELINE_MODELS:
             raise ValidationError(f"unknown model {self.model!r}")
         for name in ("lr", "batch_size", "clip_norm", "seq_len", "init_std",
                      "hidden", "mem_slots", "state_dim", "feature_dim"):
@@ -71,19 +70,9 @@ class GridSpec:
                 for d in self.state_dims for n in self.memory_sizes]
 
 
-def make_arch(config: TrainConfig, num_kcs: int):
-    if config.model == "dkt":
-        return models.DktArch(num_kcs=num_kcs, hidden=config.hidden)
-    if config.model in ("dkvmn", "deep_irt"):
-        return models.MemoryArch(num_kcs=num_kcs, mem_slots=config.mem_slots,
-                                 state_dim=config.state_dim,
-                                 feature_dim=config.feature_dim,
-                                 deep_irt=(config.model == "deep_irt"))
-    raise ValidationError(f"{config.model!r} is not a trainable deep model")
-
-
 def param_count(config: TrainConfig, num_kcs: int) -> int:
-    shapes = models.param_shapes(make_arch(config, num_kcs)).values()
+    arch = models.make_arch(config.model, num_kcs, asdict(config))
+    shapes = models.param_shapes(arch).values()
     return sum(rows * cols for rows, cols in shapes)
 
 
@@ -96,7 +85,7 @@ def train(config: TrainConfig, dataset: Dataset, check_clip=None):
     """Train one deep model; returns (params, per-epoch mean train loss)."""
     if not dataset.sequences:
         raise ValidationError("cannot train on an empty dataset")
-    arch = make_arch(config, dataset.num_kcs)
+    arch = models.make_arch(config.model, dataset.num_kcs, asdict(config))
     params = models.init_params(arch, config.init_std, config.seed)
     state = AdamState()
     rng = np.random.default_rng(config.seed)
@@ -215,7 +204,7 @@ def run_experiment(config: TrainConfig, grid: GridSpec | None,
     assert not any(id(s) in train_ids for s in test_ds.sequences)
 
     table = None
-    if config.model in DEEP_MODELS:
+    if config.model in models.KINDS:
         if grid is not None:
             config, table = grid_search(grid, config, train_ds)
         trials = []
@@ -246,7 +235,7 @@ def report_json(doc: dict) -> str:
 
 def deep_irt_difficulties(params: models.DkvmnParams) -> dict:
     """Per-question difficulty from the trained difficulty head."""
-    if not getattr(params.arch, "deep_irt", False):
+    if params.arch.kind != "deep_irt":
         raise ValidationError("difficulty export needs a Deep-IRT checkpoint")
     z = params.A.data @ params.W_beta.data + params.b_beta.data
     beta = np.tanh(z)[:, 0]
@@ -277,7 +266,7 @@ def export_difficulty(params: models.DkvmnParams, joins: dict | None = None):
 
 def export_trajectory(params: models.DkvmnParams, seq) -> list:
     """Per-step (t, q, a, theta, beta, p) rows for one student."""
-    if not getattr(params.arch, "deep_irt", False):
+    if params.arch.kind != "deep_irt":
         raise ValidationError("trajectory export needs a Deep-IRT checkpoint")
     batch = pad_and_mask([seq], max(len(seq.steps), 1), params.arch.num_kcs)
     out = models.forward_sequence(params, batch)

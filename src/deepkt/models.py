@@ -4,7 +4,7 @@ passes over padded batches, plus parameter init and JSON checkpoints."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,19 +25,32 @@ class MemoryArch:
     feature_dim: int = 50
     deep_irt: bool = False
 
-    def to_dict(self):
-        return {"kind": "deep_irt" if self.deep_irt else "dkvmn",
-                "num_kcs": self.num_kcs, "mem_slots": self.mem_slots,
-                "state_dim": self.state_dim, "feature_dim": self.feature_dim}
+    @property
+    def kind(self) -> str:
+        return "deep_irt" if self.deep_irt else "dkvmn"
 
 
 @dataclass
 class DktArch:
     num_kcs: int
     hidden: int = 50
+    kind = "dkt"
 
-    def to_dict(self):
-        return {"kind": "dkt", "num_kcs": self.num_kcs, "hidden": self.hidden}
+
+KINDS = ("dkt", "dkvmn", "deep_irt")
+
+
+def make_arch(kind: str, num_kcs: int, sizes: dict):
+    """Architecture of a model kind; ``sizes`` maps the size names that kind
+    needs (a TrainConfig as a dict, or a checkpoint's arch spec)."""
+    if kind == "dkt":
+        return DktArch(num_kcs, hidden=sizes["hidden"])
+    if kind in ("dkvmn", "deep_irt"):
+        return MemoryArch(num_kcs, mem_slots=sizes["mem_slots"],
+                          state_dim=sizes["state_dim"],
+                          feature_dim=sizes["feature_dim"],
+                          deep_irt=(kind == "deep_irt"))
+    raise ValidationError(f"{kind!r} is not a deep model kind ({', '.join(KINDS)})")
 
 
 class _Params:
@@ -97,14 +110,6 @@ def init_params(arch, std: float = 0.05, seed: int = 0):
     rng = np.random.default_rng(seed)
     return _make_params(arch, {name: rng.normal(0.0, std, size=shape)
                                for name, shape in shapes.items()})
-
-
-def init_memory_params(arch: MemoryArch, std: float = 0.05, seed: int = 0) -> DkvmnParams:
-    return init_params(arch, std, seed)
-
-
-def init_dkt_params(arch: DktArch, std: float = 0.05, seed: int = 0) -> DktParams:
-    return init_params(arch, std, seed)
 
 
 @dataclass
@@ -231,8 +236,11 @@ def prediction_set(outputs: StepOutputs):
 
 
 def save_checkpoint(params, path, seed: int = 0) -> None:
+    arch = params.arch
     doc = {
-        "arch": params.arch.to_dict(),
+        # the kind stands in for MemoryArch's deep_irt flag
+        "arch": {"kind": arch.kind,
+                 **{k: v for k, v in asdict(arch).items() if k != "deep_irt"}},
         "seed": seed,
         "arrays": {name: t.data.tolist() for name, t in params.named_parameters()},
     }
@@ -242,15 +250,7 @@ def save_checkpoint(params, path, seed: int = 0) -> None:
 def load_checkpoint(path):
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     spec = doc["arch"]
-    kind = spec["kind"]
-    if kind in ("dkvmn", "deep_irt"):
-        arch = MemoryArch(num_kcs=spec["num_kcs"], mem_slots=spec["mem_slots"],
-                          state_dim=spec["state_dim"], feature_dim=spec["feature_dim"],
-                          deep_irt=(kind == "deep_irt"))
-    elif kind == "dkt":
-        arch = DktArch(num_kcs=spec["num_kcs"], hidden=spec["hidden"])
-    else:
-        raise ValidationError(f"unknown checkpoint kind {kind!r}")
+    arch = make_arch(spec["kind"], spec["num_kcs"], spec)
     arrays = {}
     for name, shape in param_shapes(arch).items():
         arr = np.array(doc["arrays"][name], dtype=np.float64)

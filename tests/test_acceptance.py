@@ -77,12 +77,12 @@ class TestCriterion1GradientFidelity:
         batch = random_batch(rng, 2, 6, 4)
         mem = models.MemoryArch(num_kcs=4, mem_slots=4, state_dim=8,
                                 feature_dim=8)
-        self.check(models.init_memory_params(mem, std=0.3, seed=0), batch, rng)
+        self.check(models.init_params(mem, std=0.3, seed=0), batch, rng)
         irt = models.MemoryArch(num_kcs=4, mem_slots=4, state_dim=8,
                                 feature_dim=8, deep_irt=True)
-        self.check(models.init_memory_params(irt, std=0.3, seed=0), batch, rng)
+        self.check(models.init_params(irt, std=0.3, seed=0), batch, rng)
         dkt = models.DktArch(num_kcs=4, hidden=8)
-        self.check(models.init_dkt_params(dkt, std=0.3, seed=0), batch, rng)
+        self.check(models.init_params(dkt, std=0.3, seed=0), batch, rng)
         assert time.monotonic() - start < 60.0
 
 
@@ -175,12 +175,12 @@ class TestCriterion6MaskingInvariance:
     ])
     def test_appending_padding_is_invisible(self, rng, model, extra):
         if model == "dkt":
-            params = models.init_dkt_params(models.DktArch(num_kcs=5, hidden=6),
-                                            std=0.3, seed=2)
+            params = models.init_params(models.DktArch(num_kcs=5, hidden=6),
+                                        std=0.3, seed=2)
         else:
             arch = models.MemoryArch(num_kcs=5, mem_slots=3, state_dim=4,
                                      feature_dim=4, deep_irt=(model == "deep_irt"))
-            params = models.init_memory_params(arch, std=0.3, seed=2)
+            params = models.init_params(arch, std=0.3, seed=2)
         base = random_batch(rng, 3, 6, 5)
         padded = random_batch(rng, 3, 6, 5, seq_len=6 + extra)
         padded.q_ids[:, :6] = base.q_ids

@@ -3,6 +3,7 @@ import importlib.metadata as im
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from deepkt import cli, datasets, models
 from deepkt.cli import main
+from deepkt.harness import GridSpec, TrainConfig
 
 
 @pytest.fixture
@@ -95,6 +97,61 @@ class TestTrain:
         code = main(["train", "--config", str(cfg_path), "--data", data_file,
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
+
+
+def _changed(value, times):
+    """A valid setting of ``value``'s type other than ``value``; each
+    ``times`` gives a different one."""
+    if isinstance(value, str):
+        return ("dkvmn", "dkt")[times - 1]
+    if isinstance(value, float):
+        return value / 2 ** times
+    return value + times
+
+
+class TestSettingFlags:
+    @pytest.mark.parametrize("field", fields(TrainConfig), ids=lambda f: f.name)
+    def test_each_train_config_field_has_a_flag_over_config(self, tmp_path,
+                                                            field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field.name: _changed(field.default, 1)}))
+        value = _changed(field.default, 2)
+        args = cli.build_parser().parse_args(
+            ["train", "--config", str(cfg_path), "--data", "d.txt",
+             "--out", "m.json", "--" + field.name.replace("_", "-"), str(value)])
+        assert getattr(cli._load_config(args), field.name) == value
+
+    def test_feature_dim_reaches_checkpoint(self, tmp_path, data_file):
+        ckpt = tmp_path / "m.json"
+        assert main(["train", "--data", data_file, "--out", str(ckpt),
+                     "--model", "dkvmn", "--feature-dim", "3"] + FAST) == 0
+        params = models.load_checkpoint(ckpt)
+        assert params.arch.feature_dim == 3
+        assert params.W_f.data.shape == (8, 3)
+
+    def test_grid_flags(self):
+        parse = cli.build_parser().parse_args
+        base = ["experiment", "--data", "d.txt", "--report", "r.json"]
+        assert cli._grid_from_args(parse(base)) is None
+        assert cli._grid_from_args(parse(base + ["--state-dims", "4,8"])) == \
+            GridSpec(state_dims=(4, 8))
+        assert cli._grid_from_args(parse(base + ["--memory-sizes", "2"])) == \
+            GridSpec(memory_sizes=(2,))
+
+    def test_malformed_grid_list_is_usage_error(self, data_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--data", data_file, "--state-dims", "4,x"])
+        assert exc.value.code == 2
+        assert "--state-dims" in capsys.readouterr().err
+
+    def test_grid_one_point_prints_one_row_and_best(self, data_file, capsys):
+        code = main(["grid", "--data", data_file, "--model", "deep_irt",
+                     "--state-dims", "4", "--memory-sizes", "2"] + FAST)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if "cv_loss=" in line]) == 1
+        assert lines[0].startswith("{'state_dim': 4, 'mem_slots': 2}  cv_loss=")
+        assert lines[-1] == "best: deep_irt {'state_dim': 4, 'mem_slots': 2}"
 
 
 class TestExperimentAndBaseline:

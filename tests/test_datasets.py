@@ -138,6 +138,16 @@ class TestPadAndMask:
         with pytest.raises(ValidationError, match="answer bit"):
             pad_and_mask(seqs, 3, 8)
 
+    def test_fractional_question_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"question id 1\.5 is not an integer"):
+            pad_and_mask([make_seq(0, [(1.5, 1)])], 4, 4)
+
+    def test_integral_float_question_accepted(self):
+        b = pad_and_mask([make_seq(0, [(2.0, 1)])], 4, 4)
+        assert b.q_ids[0, 0] == 2
+        assert b.qa_ids[0, 0] == 6
+
 
 class TestSplits:
     def ds(self, n, Q=5):

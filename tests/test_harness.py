@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
 from deepkt.harness import (GridSpec, TrainConfig, TrainingError,
                             deep_irt_difficulties, evaluate, evaluate_baseline,
                             export_difficulty, export_trajectory, grid_search,
-                            make_arch, param_count, report_json,
+                            param_count, report_json,
                             run_experiment, select_best, train)
 
 
@@ -76,8 +77,8 @@ class TestTrain:
         ds = tiny_dataset(rng)
         cfg = tiny_config(epochs=0)
         params, log = train(cfg, ds)
-        fresh = models.init_params(make_arch(cfg, ds.num_kcs),
-                                  cfg.init_std, cfg.seed)
+        arch = models.make_arch(cfg.model, ds.num_kcs, asdict(cfg))
+        fresh = models.init_params(arch, cfg.init_std, cfg.seed)
         assert log == []
         for (_, a), (_, b) in zip(params.named_parameters(),
                                   fresh.named_parameters()):

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,14 +8,13 @@ import pytest
 import oracle
 from conftest import check_gradients
 from deepkt import autodiff as ad
-from deepkt import models
+from deepkt import harness, models
 from deepkt.autodiff import Tensor
-from deepkt.datasets import InteractionSequence, pad_and_mask
+from deepkt.datasets import InteractionSequence, ValidationError, pad_and_mask
 from deepkt.models import (DktArch, MemoryArch, forward, forward_dkt,
-                           forward_sequence, init_dkt_params,
-                           init_memory_params, init_params, load_checkpoint,
-                           mean_loss_value, prediction_set, save_checkpoint,
-                           sequence_loss)
+                           forward_sequence, init_params, load_checkpoint,
+                           make_arch, mean_loss_value, param_shapes,
+                           prediction_set, save_checkpoint, sequence_loss)
 from oracle import attention, predict_deep_irt, predict_dkvmn, read, write
 
 
@@ -78,7 +79,7 @@ class TestRead:
 
 class TestPredictHeads:
     def zeroed(self, arch):
-        params = init_memory_params(arch, seed=0)
+        params = init_params(arch, seed=0)
         for _, t in params.named_parameters():
             t.data[:] = 0.0
         return params
@@ -113,7 +114,7 @@ class TestPredictHeads:
         assert p.data[0, 0] == pytest.approx(0.98201, abs=1e-5)
 
     def test_deep_irt_ranges(self, rng):
-        params = init_memory_params(SMALL_IRT, std=0.8, seed=1)
+        params = init_params(SMALL_IRT, std=0.8, seed=1)
         r = Tensor(rng.normal(size=(10, 3)))
         k = Tensor(rng.normal(size=(10, 3)))
         p, theta, beta = predict_deep_irt(r, k, params)
@@ -123,7 +124,7 @@ class TestPredictHeads:
 
 class TestWrite:
     def test_zero_weights_identity(self, rng):
-        params = init_memory_params(SMALL, seed=0)
+        params = init_params(SMALL, seed=0)
         mem = Tensor(rng.normal(size=(2 * 3, 3)))
         w = Tensor(np.zeros((2, 3)))
         v = Tensor(rng.normal(size=(2, 3)))
@@ -133,7 +134,7 @@ class TestWrite:
     def test_full_erase_overwrites_with_add(self, rng):
         # single slot, weight 1, erase gate saturated at 1: slot becomes a_t
         arch = MemoryArch(num_kcs=4, mem_slots=1, state_dim=3, feature_dim=3)
-        params = init_memory_params(arch, seed=0)
+        params = init_params(arch, seed=0)
         params.b_e.data[:] = 60.0
         params.W_e.data[:] = 0.0
         mem = Tensor(rng.normal(size=(1, 3)))
@@ -143,7 +144,7 @@ class TestWrite:
         np.testing.assert_allclose(out.data, a, atol=1e-12)
 
     def test_interpolates_between_old_and_new(self, rng):
-        params = init_memory_params(SMALL, seed=2)
+        params = init_params(SMALL, seed=2)
         mem_data = rng.normal(size=(3, 3))
         v = Tensor(rng.normal(size=(1, 3)))
         w = Tensor(np.array([[0.2, 0.5, 0.3]]))
@@ -157,7 +158,7 @@ class TestWrite:
 class TestForwardSequence:
     @pytest.mark.parametrize("arch", [SMALL, SMALL_IRT])
     def test_shapes_and_ranges(self, rng, arch):
-        params = init_memory_params(arch, seed=0)
+        params = init_params(arch, seed=0)
         batch = make_batch([random_steps(rng, 6, 4), random_steps(rng, 3, 4)], 6, 4)
         out = forward_sequence(params, batch)
         assert out.p.shape == (2, 6)
@@ -169,14 +170,14 @@ class TestForwardSequence:
             assert np.all(np.abs(out.beta) < 1)
 
     def test_duplicated_sequence_identical_rows(self, rng):
-        params = init_memory_params(SMALL_IRT, seed=3)
+        params = init_params(SMALL_IRT, seed=3)
         steps = random_steps(rng, 5, 4)
         out = forward_sequence(params, make_batch([steps, steps], 5, 4))
         np.testing.assert_array_equal(out.p[0], out.p[1])
         np.testing.assert_array_equal(out.theta[0], out.theta[1])
 
     def test_batch_composition_irrelevant(self, rng):
-        params = init_memory_params(SMALL, seed=4)
+        params = init_params(SMALL, seed=4)
         a = random_steps(rng, 5, 4)
         b = random_steps(rng, 5, 4)
         together = forward_sequence(params, make_batch([a, b], 5, 4))
@@ -184,7 +185,7 @@ class TestForwardSequence:
         np.testing.assert_allclose(together.p[0], alone.p[0], atol=1e-12)
 
     def test_permuting_batch_permutes_outputs(self, rng):
-        params = init_memory_params(SMALL, seed=5)
+        params = init_params(SMALL, seed=5)
         seqs = [random_steps(rng, 4, 4) for _ in range(3)]
         fwd = forward_sequence(params, make_batch(seqs, 4, 4))
         rev = forward_sequence(params, make_batch(seqs[::-1], 4, 4))
@@ -192,7 +193,7 @@ class TestForwardSequence:
 
     def test_causality_final_answer_never_seen(self, rng):
         # prediction precedes the write, so flipping the last answer changes nothing
-        params = init_memory_params(SMALL_IRT, seed=6)
+        params = init_params(SMALL_IRT, seed=6)
         steps = random_steps(rng, 6, 4)
         flipped = steps[:-1] + [(steps[-1][0], 1 - steps[-1][1])]
         p1 = forward_sequence(params, make_batch([steps], 6, 4)).p
@@ -200,7 +201,7 @@ class TestForwardSequence:
         np.testing.assert_array_equal(p1, p2)
 
     def test_causality_middle_answer(self, rng):
-        params = init_memory_params(SMALL, seed=7)
+        params = init_params(SMALL, seed=7)
         steps = random_steps(rng, 8, 4)
         flipped = list(steps)
         flipped[3] = (steps[3][0], 1 - steps[3][1])
@@ -210,13 +211,13 @@ class TestForwardSequence:
         assert not np.array_equal(p1[0, 4:], p2[0, 4:])
 
     def test_question_id_out_of_range(self, rng):
-        params = init_memory_params(SMALL, seed=0)
+        params = init_params(SMALL, seed=0)
         with pytest.raises(ad.IndexOutOfRangeError):
             forward_sequence(params, make_batch([[(5, 1)]], 1, 5))
 
     def test_padding_steps_leave_memory_alone(self, rng):
         # a padded batch and a truncated batch agree on the real prefix
-        params = init_memory_params(SMALL_IRT, seed=8)
+        params = init_params(SMALL_IRT, seed=8)
         steps = random_steps(rng, 3, 4)
         padded = forward_sequence(params, make_batch([steps], 7, 4))
         exact = forward_sequence(params, make_batch([steps], 3, 4))
@@ -226,21 +227,21 @@ class TestForwardSequence:
 
 class TestForwardDkt:
     def test_zero_params_all_half(self, rng):
-        params = init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=0)
+        params = init_params(DktArch(num_kcs=4, hidden=3), seed=0)
         for _, t in params.named_parameters():
             t.data[:] = 0.0
         out = forward_dkt(params, make_batch([random_steps(rng, 5, 4)], 5, 4))
         np.testing.assert_allclose(out.p, np.full((1, 5), 0.5), atol=1e-12)
 
     def test_first_step_not_scored(self, rng):
-        params = init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=1)
+        params = init_params(DktArch(num_kcs=4, hidden=3), seed=1)
         out = forward_dkt(params, make_batch([random_steps(rng, 4, 4)], 4, 4))
         np.testing.assert_array_equal(out.pred_mask[0], [0, 1, 1, 1])
         assert out.p[0, 0] == 0.5
 
     def test_nothing_scored_gives_zero_loss_and_gradients(self):
         # single-step rows have no cell to score
-        params = init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=1)
+        params = init_params(DktArch(num_kcs=4, hidden=3), seed=1)
         batch = make_batch([[(1, 1)], [(3, 0)]], 1, 4)
         out = forward_dkt(params, batch)
         loss = sequence_loss(out, batch)
@@ -251,7 +252,7 @@ class TestForwardDkt:
 
     def test_hand_computed_single_step(self):
         # 1 KC, hidden size 1: every gate value can be traced by hand
-        params = init_dkt_params(DktArch(num_kcs=1, hidden=1), seed=0)
+        params = init_params(DktArch(num_kcs=1, hidden=1), seed=0)
         params.W_x.data[:] = [[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]
         params.W_h.data[:] = 0.0
         params.b_g.data[:] = 0.0
@@ -266,7 +267,7 @@ class TestForwardDkt:
         assert out.p[0, 1] == pytest.approx(expect, abs=1e-12)
 
     def test_causality_flip_final_answer(self, rng):
-        params = init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=2)
+        params = init_params(DktArch(num_kcs=4, hidden=3), seed=2)
         steps = random_steps(rng, 6, 4)
         flipped = steps[:-1] + [(steps[-1][0], 1 - steps[-1][1])]
         p1 = forward_dkt(params, make_batch([steps], 6, 4)).p
@@ -274,7 +275,7 @@ class TestForwardDkt:
         np.testing.assert_array_equal(p1, p2)
 
     def test_batch_composition_irrelevant(self, rng):
-        params = init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=3)
+        params = init_params(DktArch(num_kcs=4, hidden=3), seed=3)
         a = random_steps(rng, 5, 4)
         b = random_steps(rng, 2, 4)
         together = forward_dkt(params, make_batch([a, b], 5, 4))
@@ -283,8 +284,8 @@ class TestForwardDkt:
 
     def test_dispatcher(self, rng):
         batch = make_batch([random_steps(rng, 3, 4)], 3, 4)
-        mem = init_memory_params(SMALL, seed=0)
-        dkt = init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=0)
+        mem = init_params(SMALL, seed=0)
+        dkt = init_params(DktArch(num_kcs=4, hidden=3), seed=0)
         np.testing.assert_array_equal(forward(mem, batch).p,
                                       forward_sequence(mem, batch).p)
         np.testing.assert_array_equal(forward(dkt, batch).p,
@@ -295,7 +296,7 @@ class TestForwardDkt:
 
 class TestLoss:
     def test_half_probability_gives_log2(self, rng):
-        params = init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=0)
+        params = init_params(DktArch(num_kcs=4, hidden=3), seed=0)
         for _, t in params.named_parameters():
             t.data[:] = 0.0
         batch = make_batch([random_steps(rng, 5, 4)], 5, 4)
@@ -305,7 +306,7 @@ class TestLoss:
         assert mean_loss_value(loss, out) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_prediction_set_flattening(self, rng):
-        params = init_memory_params(SMALL, seed=1)
+        params = init_params(SMALL, seed=1)
         batch = make_batch([random_steps(rng, 5, 4), random_steps(rng, 2, 4)], 5, 4)
         out = forward_sequence(params, batch)
         scores, labels = prediction_set(out)
@@ -314,7 +315,7 @@ class TestLoss:
         np.testing.assert_array_equal(scores[5:], out.p[1, :2])
 
     def test_pad_positions_excluded_from_loss(self, rng):
-        params = init_memory_params(SMALL, seed=2)
+        params = init_params(SMALL, seed=2)
         steps = random_steps(rng, 3, 4)
         b_pad = make_batch([steps], 6, 4)
         b_exact = make_batch([steps], 3, 4)
@@ -326,26 +327,26 @@ class TestLoss:
 class TestInit:
     def test_statistics(self):
         arch = MemoryArch(num_kcs=100, mem_slots=20, state_dim=50, feature_dim=50)
-        params = init_memory_params(arch, std=0.05, seed=0)
+        params = init_params(arch, std=0.05, seed=0)
         flat = params.B.data.ravel()
         assert abs(flat.mean()) < 0.005
         assert flat.std() == pytest.approx(0.05, abs=0.005)
 
     def test_same_seed_identical(self):
-        p1 = init_memory_params(SMALL_IRT, seed=11)
-        p2 = init_memory_params(SMALL_IRT, seed=11)
+        p1 = init_params(SMALL_IRT, seed=11)
+        p2 = init_params(SMALL_IRT, seed=11)
         for (n1, t1), (n2, t2) in zip(p1.named_parameters(), p2.named_parameters()):
             assert n1 == n2
             np.testing.assert_array_equal(t1.data, t2.data)
 
     def test_different_seeds_differ(self):
-        p1 = init_memory_params(SMALL, seed=0)
-        p2 = init_memory_params(SMALL, seed=1)
+        p1 = init_params(SMALL, seed=0)
+        p2 = init_params(SMALL, seed=1)
         assert not np.array_equal(p1.A.data, p2.A.data)
 
     def test_head_parameters_by_variant(self):
-        names = dict(init_memory_params(SMALL, seed=0).named_parameters())
-        irt_names = dict(init_memory_params(SMALL_IRT, seed=0).named_parameters())
+        names = dict(init_params(SMALL, seed=0).named_parameters())
+        irt_names = dict(init_params(SMALL_IRT, seed=0).named_parameters())
         assert "W_p" in names and "W_theta" not in names
         assert "W_theta" in irt_names and "W_beta" in irt_names and "W_p" not in irt_names
 
@@ -358,14 +359,14 @@ class TestInit:
     def test_invalid_std(self):
         from deepkt.datasets import ValidationError
         with pytest.raises(ValidationError):
-            init_memory_params(SMALL, std=0.0)
+            init_params(SMALL, std=0.0)
 
 
 class TestCheckpoints:
     @pytest.mark.parametrize("make", [
-        lambda: init_memory_params(SMALL, seed=5),
-        lambda: init_memory_params(SMALL_IRT, seed=5),
-        lambda: init_dkt_params(DktArch(num_kcs=4, hidden=3), seed=5),
+        lambda: init_params(SMALL, seed=5),
+        lambda: init_params(SMALL_IRT, seed=5),
+        lambda: init_params(DktArch(num_kcs=4, hidden=3), seed=5),
     ])
     def test_round_trip_bit_exact(self, tmp_path, make):
         params = make()
@@ -379,13 +380,64 @@ class TestCheckpoints:
             np.testing.assert_array_equal(t1.data, t2.data)
 
     def test_round_trip_same_forward(self, tmp_path, rng):
-        params = init_memory_params(SMALL_IRT, seed=6)
+        params = init_params(SMALL_IRT, seed=6)
         batch = make_batch([random_steps(rng, 5, 4)], 5, 4)
         before = forward_sequence(params, batch).p
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
         after = forward_sequence(load_checkpoint(path), batch).p
         np.testing.assert_array_equal(before, after)
+
+    # "arch" specs exactly as checkpoints have always stored them
+    @pytest.mark.parametrize("spec,arch", [
+        ({"kind": "dkvmn", "num_kcs": 3, "mem_slots": 2, "state_dim": 4,
+          "feature_dim": 5},
+         MemoryArch(num_kcs=3, mem_slots=2, state_dim=4, feature_dim=5)),
+        ({"kind": "deep_irt", "num_kcs": 3, "mem_slots": 2, "state_dim": 4,
+          "feature_dim": 5},
+         MemoryArch(num_kcs=3, mem_slots=2, state_dim=4, feature_dim=5,
+                    deep_irt=True)),
+        ({"kind": "dkt", "num_kcs": 3, "hidden": 2},
+         DktArch(num_kcs=3, hidden=2)),
+    ], ids=["dkvmn", "deep_irt", "dkt"])
+    def test_stored_format_loads_and_saves_unchanged(self, tmp_path, spec, arch):
+        rng = np.random.default_rng(0)
+        arrays = {name: rng.normal(size=shape).tolist()
+                  for name, shape in param_shapes(arch).items()}
+        text = json.dumps({"arch": spec, "seed": 7, "arrays": arrays},
+                          sort_keys=True)
+        path = tmp_path / "stored.json"
+        path.write_text(text, encoding="utf-8")
+        params = load_checkpoint(path)
+        assert params.arch == arch
+        assert params.arch.kind == spec["kind"]
+        save_checkpoint(params, tmp_path / "saved.json", seed=7)
+        assert (tmp_path / "saved.json").read_text(encoding="utf-8") == text
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({"arch": {"kind": "lstm", "num_kcs": 3,
+                                             "hidden": 2},
+                                    "seed": 0, "arrays": {}}))
+        with pytest.raises(ValidationError, match="'lstm'"):
+            load_checkpoint(path)
+
+
+class TestMakeArch:
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_sizes_from_train_config(self, kind):
+        cfg = harness.TrainConfig(model=kind, hidden=7, mem_slots=3,
+                                  state_dim=5, feature_dim=6)
+        arch = make_arch(kind, 4, asdict(cfg))
+        assert arch.kind == kind
+        assert arch == (DktArch(4, hidden=7) if kind == "dkt" else
+                        MemoryArch(4, mem_slots=3, state_dim=5, feature_dim=6,
+                                   deep_irt=(kind == "deep_irt")))
+
+    @pytest.mark.parametrize("kind", harness.BASELINE_MODELS)
+    def test_baseline_name_rejected(self, kind):
+        with pytest.raises(ValidationError, match="not a deep model kind"):
+            make_arch(kind, 4, asdict(harness.TrainConfig()))
 
 
 class TestModelGradients:
@@ -401,13 +453,13 @@ class TestModelGradients:
 
     @pytest.mark.parametrize("arch", [SMALL, SMALL_IRT])
     def test_memory_model(self, rng, arch):
-        params = init_memory_params(arch, std=0.3, seed=0)
+        params = init_params(arch, std=0.3, seed=0)
         batch = make_batch([random_steps(rng, 4, 4), random_steps(rng, 2, 4)], 4, 4)
         check_gradients(self.loss_fn_for(params, batch), params.parameters(),
                         rng, n_samples=12)
 
     def test_dkt(self, rng):
-        params = init_dkt_params(DktArch(num_kcs=4, hidden=3), std=0.3, seed=0)
+        params = init_params(DktArch(num_kcs=4, hidden=3), std=0.3, seed=0)
         batch = make_batch([random_steps(rng, 4, 4), random_steps(rng, 3, 4)], 4, 4)
         check_gradients(self.loss_fn_for(params, batch), params.parameters(),
                         rng, n_samples=12)
@@ -415,7 +467,7 @@ class TestModelGradients:
     def test_pad_content_cannot_leak_into_gradients(self, rng):
         # scribbling garbage over the padded positions must leave the loss and
         # every gradient bit-identical
-        params = init_memory_params(SMALL_IRT, std=0.3, seed=1)
+        params = init_params(SMALL_IRT, std=0.3, seed=1)
         batch = make_batch([random_steps(rng, 2, 4)], 6, 4)
         out = forward_sequence(params, batch)
         loss = sequence_loss(out, batch)
