@@ -2,10 +2,13 @@
 
 Every tensor is a 2-D float64 matrix.  A fresh graph is built per batch and
 discarded after the optimizer step; gradients accumulate across fan-out and
-are zeroed inside ``adam_step``.
+are zeroed inside ``adam_step``.  Inside ``no_grad()`` no graph is built at
+all: every op returns a leaf and the scans keep no backward state.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -107,10 +110,31 @@ def constant(values):
     return Tensor(values, requires_grad=False)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block (for inference); nests, and restores
+    the previous mode on exit, also on an exception."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _needs_grad(inputs) -> bool:
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _node(data, op, parents, backward):
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, op=op, parents=parents,
-                  backward=backward if req else None)
+    """The op's output; a leaf when no gradient can flow back through it."""
+    if not _needs_grad(parents):
+        return Tensor(data, op=op)
+    return Tensor(data, requires_grad=True, op=op, parents=parents,
+                  backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +442,8 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         r[s]   = sum_i w[s,i] * M[i]
         M[i]  <- M[i] * (1 - w[s,i] * erase[s]) + w[s,i] * add_vec[s]
     (computed as M[i] - w[s,i] * (M[i] * erase[s] - add_vec[s])).  Forward
-    keeps the memory each cell read; backward is a reverse scan.
+    keeps the memory each cell read when a gradient is needed; backward is a
+    reverse scan.  Without one, only the live batch memory is held.
     """
     S, N = w.shape
     d = mem0.cols
@@ -429,15 +454,18 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     order, blocks = _time_blocks(bi, ti, batch_rows, steps)
     ws, es, as_ = w.data[order], erase.data[order], add_vec.data[order]
     mem = np.tile(mem0.data, (batch_rows, 1, 1))
-    before = np.empty((S, N, d))      # the memory each cell read
+    save = _needs_grad((mem0, w, erase, add_vec))
+    before = np.empty((S, N, d)) if save else None   # the memory each cell read
     reads = np.empty((S, d))
     buf = np.empty((batch_rows, N, d))
     for lo, hi, rows in blocks:
-        m = before[lo:hi]
-        if rows is None:
+        if not save:
+            m = mem if rows is None else mem[rows]
+        elif rows is None:
+            m = before[lo:hi]
             m[...] = mem
         else:
-            np.take(mem, rows, axis=0, out=m)
+            m = np.take(mem, rows, axis=0, out=before[lo:hi])
         reads[lo:hi] = np.matmul(ws[lo:hi, None, :], m)[:, 0, :]
         # M - w (M e - a), in place
         delta = np.multiply(m, es[lo:hi, None, :], out=buf[:hi - lo])
@@ -488,7 +516,8 @@ def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Te
         z = x[s] + h @ w_h
         c <- sigmoid(z_f) * c + sigmoid(z_i) * tanh(z_g)
         h <- sigmoid(z_o) * tanh(c)
-    Forward keeps each cell's gates and states; backward is a reverse scan.
+    Forward keeps each cell's gates and states when a gradient is needed;
+    backward is a reverse scan.
     """
     S = x.rows
     hs = w_h.rows
@@ -497,20 +526,23 @@ def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Te
     order, blocks = _time_blocks(bi, ti, batch_rows, steps)
     xs = x.data[order]
     h_state, c_state = np.zeros((batch_rows, hs)), np.zeros((batch_rows, hs))
-    gates = np.empty((S, 4 * hs))
-    h_prev, c_prev = np.empty((S, hs)), np.empty((S, hs))
-    tanh_c, h_out = np.empty((S, hs)), np.empty((S, hs))
+    save = _needs_grad((x, w_h))
+    if save:
+        gates = np.empty((S, 4 * hs))
+        h_prev, c_prev, tanh_c = np.empty((S, hs)), np.empty((S, hs)), np.empty((S, hs))
+    h_out = np.empty((S, hs))
     for lo, hi, rows in blocks:
         hp = h_state if rows is None else h_state[rows]
         cp = c_state if rows is None else c_state[rows]
         z = xs[lo:hi] + hp @ w_h.data
-        gt = gates[lo:hi]
-        gt[:] = _sigmoid(z)
+        gt = _sigmoid(z)
         gt[:, 2 * hs:3 * hs] = np.tanh(z[:, 2 * hs:3 * hs])
         c = gt[:, hs:2 * hs] * cp + gt[:, :hs] * gt[:, 2 * hs:3 * hs]
-        tanh_c[lo:hi] = np.tanh(c)
-        h_out[lo:hi] = gt[:, 3 * hs:] * tanh_c[lo:hi]
-        h_prev[lo:hi], c_prev[lo:hi] = hp, cp
+        tc = np.tanh(c)
+        h_out[lo:hi] = gt[:, 3 * hs:] * tc
+        if save:
+            gates[lo:hi], tanh_c[lo:hi] = gt, tc
+            h_prev[lo:hi], c_prev[lo:hi] = hp, cp
         if rows is None:
             h_state, c_state = h_out[lo:hi].copy(), c
         else:
@@ -569,6 +601,9 @@ def backward(loss: Tensor) -> None:
     """Reverse-topological sweep filling .grad on every requires_grad ancestor."""
     if loss.data.shape != (1, 1):
         raise GraphError(f"backward needs a 1x1 loss tensor, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise GraphError("backward needs a loss that requires grad; this one was "
+                         "built from constants only or under no_grad()")
     nodes = []
     visited = set()
     stack = [loss]

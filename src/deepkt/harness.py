@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from . import baselines, metrics, models
-from .autodiff import AdamState, adam_step, backward, clip_global_norm
+from .autodiff import AdamState, adam_step, backward, clip_global_norm, no_grad
 from .datasets import Dataset, ValidationError, kfold, pad_and_mask, split_train_test
 from .metrics import PredictionSet, TrialResult, aggregate_trials
 
@@ -53,7 +53,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        cfg = cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+        cfg = cls(**d)
         cfg.validate()
         return cfg
 
@@ -121,12 +124,14 @@ def train(config: TrainConfig, dataset: Dataset, check_clip=None):
 
 def evaluate(params, dataset: Dataset, config: TrainConfig,
              eval_batch: int = 200) -> PredictionSet:
-    """Forward the whole dataset (no training) and flatten scored steps."""
+    """Forward the whole dataset (no training, no graph) and flatten scored
+    steps."""
     scores, labels = [], []
     seqs = dataset.sequences
     for idx in _batches(len(seqs), eval_batch):
         batch = pad_and_mask([seqs[i] for i in idx], config.seq_len, dataset.num_kcs)
-        s, y = models.prediction_set(models.forward(params, batch))
+        with no_grad():
+            s, y = models.prediction_set(models.forward(params, batch))
         scores.append(s)
         labels.append(y)
     return PredictionSet(np.concatenate(scores), np.concatenate(labels))
@@ -269,7 +274,8 @@ def export_trajectory(params: models.DkvmnParams, seq) -> list:
     if params.arch.kind != "deep_irt":
         raise ValidationError("trajectory export needs a Deep-IRT checkpoint")
     batch = pad_and_mask([seq], max(len(seq.steps), 1), params.arch.num_kcs)
-    out = models.forward_sequence(params, batch)
+    with no_grad():
+        out = models.forward_sequence(params, batch)
     rows = []
     for t, (q, a) in enumerate(seq.steps):
         rows.append({"t": t + 1, "q": q, "a": a,

@@ -249,13 +249,16 @@ def save_checkpoint(params, path, seed: int = 0) -> None:
 
 def load_checkpoint(path):
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    spec = doc["arch"]
-    arch = make_arch(spec["kind"], spec["num_kcs"], spec)
-    arrays = {}
-    for name, shape in param_shapes(arch).items():
-        arr = np.array(doc["arrays"][name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ValidationError(
-                f"checkpoint array {name} has shape {arr.shape}, expected {shape}")
-        arrays[name] = arr
+    try:
+        spec = doc["arch"]
+        arch = make_arch(spec["kind"], spec["num_kcs"], spec)
+        shapes = param_shapes(arch)
+        arrays = {name: np.array(doc["arrays"][name], dtype=np.float64)
+                  for name in shapes}
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint {path} lacks {exc.args[0]!r}") from None
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValidationError(f"checkpoint array {name} has shape "
+                                  f"{arrays[name].shape}, expected {shape}")
     return _make_params(arch, arrays)

@@ -375,6 +375,67 @@ class TestLstmScan:
             ad.lstm_scan(x, Tensor(np.zeros((3, 8))), [0, 0], [0, 1], 1, 2)
 
 
+class TestNoGrad:
+    # full rows at the early steps, ragged later: both kinds of time block
+    LENGTHS = [[5, 2, 0, 4], [3, 6, 6, 1, 6], [1, 1]]
+
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_memory_scan_equals_grad_version_exactly(self, rng, lengths):
+        mem0, w, e, a = TestMemoryScan().inputs(rng, lengths)
+        rows, cols = ragged_cells(rng, lengths, 6)
+        args = (rows, cols, len(lengths), 6)
+        with_grad = ad.memory_scan(mem0, w, e, a, *args)
+        with ad.no_grad():
+            without = ad.memory_scan(mem0, w, e, a, *args)
+        assert with_grad._parents and not without._parents
+        np.testing.assert_array_equal(without.data, with_grad.data)
+
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_lstm_scan_equals_grad_version_exactly(self, rng, lengths):
+        x, w_h = TestLstmScan().inputs(rng, lengths)
+        rows, cols = ragged_cells(rng, lengths, 6)
+        args = (rows, cols, len(lengths), 6)
+        with_grad = ad.lstm_scan(x, w_h, *args)
+        with ad.no_grad():
+            without = ad.lstm_scan(x, w_h, *args)
+        assert with_grad._parents and not without._parents
+        np.testing.assert_array_equal(without.data, with_grad.data)
+
+    def test_outputs_are_leaves(self, rng):
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        with ad.no_grad():
+            outs = [ad.sigmoid(x @ x.T), ad.sum_all(x), ad.tile_rows(x, 2),
+                    ad.lstm_scan(Tensor(rng.normal(size=(2, 8))),
+                                 Tensor(rng.normal(size=(2, 8)), requires_grad=True),
+                                 [0, 0], [0, 1], 1, 2)]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+        assert x.requires_grad    # parameters keep their flag
+
+    def test_mode_restored_after_nesting_and_exception(self):
+        x = Tensor([[1.0]], requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.scale(x, 2.0).requires_grad
+        assert ad.scale(x, 2.0).requires_grad
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.scale(x, 2.0).requires_grad
+
+    def test_backward_rejects_loss_without_grad(self, rng):
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        with ad.no_grad():
+            loss = ad.sum_all(x)
+        with pytest.raises(ad.GraphError, match="no_grad"):
+            backward(loss)
+        with pytest.raises(ad.GraphError, match="requires grad"):
+            backward(ad.sum_all(ad.constant(np.ones((2, 2)))))
+        assert x.grad is None
+
+
 class TestClipGlobalNorm:
     def test_below_threshold_untouched(self):
         g = np.array([[3.0, 4.0]])

@@ -98,6 +98,16 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    def test_unknown_config_key_exits_1(self, tmp_path, data_file, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epoch": 3, "lr": 0.1}))
+        out = tmp_path / "m.json"
+        code = main(["train", "--config", str(cfg_path), "--data", data_file,
+                     "--out", str(out)])
+        assert code == 1
+        assert "unknown config keys: epoch" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _changed(value, times):
     """A valid setting of ``value``'s type other than ``value``; each
@@ -253,6 +263,20 @@ class TestExports:
                      "--student", "zzz", "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part,key", [("arch", "mem_slots"),
+                                          ("arch", "num_kcs"),
+                                          ("arrays", "W_beta")])
+    def test_incomplete_checkpoint_exits_1(self, tmp_path, ckpt, capsys, part,
+                                           key):
+        doc = json.loads(Path(ckpt).read_text())
+        del doc[part][key]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = main(["export-difficulty", "--ckpt", str(broken),
+                     "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert f"lacks '{key}'" in capsys.readouterr().err
 
     def test_dkt_checkpoint_difficulty_exits_1(self, tmp_path, data_file):
         path = tmp_path / "dkt.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -9,7 +10,7 @@ import pytest
 import oracle
 from deepkt import harness, models
 from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
-                             ValidationError, generate_synthetic)
+                             ValidationError, generate_synthetic, pad_and_mask)
 from deepkt.harness import (GridSpec, TrainConfig, TrainingError,
                             deep_irt_difficulties, evaluate, evaluate_baseline,
                             export_difficulty, export_trajectory, grid_search,
@@ -54,9 +55,12 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             TrainConfig(**bad).validate()
 
-    def test_from_dict_ignores_unknown_keys(self):
-        cfg = TrainConfig.from_dict({"model": "dkt", "lr": 0.01, "junk": 1})
+    def test_from_dict_rejects_unknown_keys(self):
+        cfg = TrainConfig.from_dict({"model": "dkt", "lr": 0.01})
         assert cfg.model == "dkt" and cfg.lr == 0.01
+        with pytest.raises(ValidationError,
+                           match="unknown config keys: epoch, junk$"):
+            TrainConfig.from_dict({"model": "dkt", "junk": 1, "epoch": 3})
 
     def test_grid_points(self):
         grid = GridSpec(state_dims=(10, 50), memory_sizes=(5, 20))
@@ -161,6 +165,29 @@ class TestTrain:
         np.testing.assert_allclose(np.asarray(a.scores, dtype=float),
                                    np.asarray(b.scores, dtype=float), atol=1e-12)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_evaluate_keeps_no_memory_history(self):
+        # one Deep-IRT batch of B=50 students x L=100 steps, N=20, d=16: a
+        # forward that keeps each cell's memory (S x N x d floats) needs more
+        # than the bound; evaluate must not
+        rng = np.random.default_rng(0)
+        ds = Dataset(10, [InteractionSequence(str(i), list(zip(
+            rng.integers(1, 11, 100).tolist(), rng.integers(0, 2, 100).tolist())))
+            for i in range(50)])
+        cfg = tiny_config(seq_len=100, mem_slots=20, state_dim=16, feature_dim=16)
+        params = models.init_params(
+            models.make_arch("deep_irt", ds.num_kcs, asdict(cfg)), seed=0)
+        bound = 50 * 100 * 20 * 16 * 8
+        tracemalloc.start()
+        try:
+            evaluate(params, ds, cfg, eval_batch=50)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            models.forward(params, pad_and_mask(ds.sequences, 100, ds.num_kcs))
+            _, grad_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < grad_peak
 
 
 class TestBaselineEvaluation:

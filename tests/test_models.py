@@ -549,3 +549,30 @@ class TestFusedMatchesOracle:
             np.testing.assert_array_equal(out.theta[off], 0.0)
             np.testing.assert_array_equal(out.beta[off], 0.0)
             np.testing.assert_array_equal(out.attention[off], 0.25)
+
+
+class TestNoGradForward:
+    """Inference without a graph gives the training forward's outputs, bit
+    for bit, and keeps no graph."""
+
+    @pytest.mark.parametrize("model", ["dkvmn", "deep_irt", "dkt"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_grad_forward_exactly(self, model, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(TestFusedMatchesOracle.ARCHS[model], std=0.4,
+                             seed=seed)
+        lengths = rng.integers(1, 12, size=5).tolist()
+        batch = make_batch([random_steps(rng, n, 6) for n in lengths], 7, 6)
+        with_grad = forward(params, batch)
+        with ad.no_grad():
+            without = forward(params, batch)
+        assert with_grad.prob_tensor.requires_grad
+        prob = without.prob_tensor
+        assert not prob.requires_grad
+        assert prob._parents == () and prob._backward is None
+        np.testing.assert_array_equal(without.prob_tensor.data,
+                                      with_grad.prob_tensor.data)
+        for name in ("p", "theta", "beta", "attention", "pred_mask"):
+            np.testing.assert_array_equal(getattr(without, name),
+                                          getattr(with_grad, name),
+                                          err_msg=name)
