@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _sigmoid
-from .datasets import ValidationError
+from .datasets import ValidationError, flatten_steps
 
 L2_PENALTY = 1e-4
 MAX_ITERS = 500
@@ -53,22 +53,18 @@ def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
 
     theta = np.zeros(len(students))
     beta = np.zeros(len(questions))
+    p = _sigmoid(theta[si] - beta[qi])
+    g_theta = np.bincount(si, y - p, len(students)) - l2 * theta
     grad_norm = np.inf
     for _ in range(max_iters):
         # alternate the blocks: simultaneous theta/beta steps can oscillate on
         # crossed designs, while block updates with fresh residuals are stable
-        p = _sigmoid(theta[si] - beta[qi])
-        resid = y - p
-        w = p * (1.0 - p)
-        g_theta = np.bincount(si, resid, len(students)) - l2 * theta
-        h_theta = np.bincount(si, w, len(students)) + l2
+        h_theta = np.bincount(si, p * (1.0 - p), len(students)) + l2
         theta += g_theta / h_theta
 
         p = _sigmoid(theta[si] - beta[qi])
-        resid = y - p
-        w = p * (1.0 - p)
-        g_beta = -np.bincount(qi, resid, len(questions)) - l2 * beta
-        h_beta = np.bincount(qi, w, len(questions)) + l2
+        g_beta = -np.bincount(qi, y - p, len(questions)) - l2 * beta
+        h_beta = np.bincount(qi, p * (1.0 - p), len(questions)) + l2
         beta += g_beta / h_beta
 
         # the likelihood is invariant to shifting theta and beta together, so
@@ -77,6 +73,7 @@ def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
         theta -= shift
         beta -= shift
 
+        # p and g_theta at this point also start the next theta step
         p = _sigmoid(theta[si] - beta[qi])
         resid = y - p
         g_theta = np.bincount(si, resid, len(students)) - l2 * theta
@@ -113,20 +110,32 @@ class PfaFeatures:
 
 
 def build_pfa_features(seqs) -> PfaFeatures:
-    skill, succ, fail, label = [], [], [], []
-    for seq in seqs:
-        counts = {}
-        for q, a in seq.steps:
-            s, f = counts.get(q, (0, 0))
-            skill.append(q)
-            succ.append(s)
-            fail.append(f)
-            label.append(a)
-            counts[q] = (s + a, f + (1 - a))
-    return PfaFeatures(skill=np.array(skill, dtype=np.int64),
-                       successes=np.array(succ, dtype=np.float64),
-                       failures=np.array(fail, dtype=np.float64),
-                       label=np.array(label, dtype=np.int64))
+    """Each step's skill, answer and prior successes and failures on that skill
+    by the same student, in step order."""
+    lengths, q, a = flatten_steps(seqs)
+    skill = q.astype(np.int64, copy=False)
+    n = len(skill)
+    # the flat steps run sequence by sequence, so a stable sort by skill alone
+    # keeps each (sequence, skill) group together and in step order; the
+    # narrowest unsigned key lets numpy radix-sort it
+    low = skill.min(initial=0)
+    key = (skill - low).astype(np.min_scalar_type(int(skill.max(initial=0) - low)))
+    order = np.argsort(key, kind="stable")
+    student = np.repeat(np.arange(len(lengths)), lengths)[order]
+    k = skill[order]
+    starts = np.r_[True, (k[1:] != k[:-1]) | (student[1:] != student[:-1])]
+    # prior attempts and prior successes within the group: the position and the
+    # sum of a before the step, each less its value at the group's first step
+    pos = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, pos, 0))
+    won = a[order]
+    wins = np.cumsum(won) - won
+    wins -= wins[first]
+    successes, failures = np.empty(n), np.empty(n)
+    successes[order] = wins
+    failures[order] = pos - first - wins
+    return PfaFeatures(skill=skill, successes=successes, failures=failures,
+                       label=a.astype(np.int64, copy=False))
 
 
 @dataclass
@@ -145,9 +154,10 @@ class LfaCoeffs:
     converged: bool = True
 
 
-def _block_newton(rows, skill, shared_x, y, l2, max_iters, tol):
-    """Newton on the L2-penalized logistic likelihood where observation i has
-    features ``rows[i]`` on its skill's k coefficients and ``shared_x[i]`` on one
+def _block_newton(rows, skill, shared_x, n, y, l2, max_iters, tol):
+    """Newton on the L2-penalized logistic likelihood of grouped binomial cells:
+    cell i holds ``n[i]`` observations with ``y[i]`` successes, features
+    ``rows[i]`` on its skill's k coefficients and ``shared_x[i]`` on one
     coefficient shared by all skills (zeros keep it 0).  The Hessian is Q k x k
     blocks bordered by the shared row: each step solves the blocks as one batch
     and eliminates the shared coefficient through the Schur complement."""
@@ -155,7 +165,7 @@ def _block_newton(rows, skill, shared_x, y, l2, max_iters, tol):
     num_skills = skill.max(initial=-1) + 1
 
     def per_skill(values):
-        # sum the rows of an n x ... array that share a skill: Q x ...
+        # sum the rows of an m x ... array that share a skill: Q x ...
         m = int(np.prod(values.shape[1:]))
         index = (skill[:, None] * m + np.arange(m)).ravel()
         return np.bincount(index, values.ravel(), num_skills * m).reshape(
@@ -166,13 +176,13 @@ def _block_newton(rows, skill, shared_x, y, l2, max_iters, tol):
     grad_norm = np.inf
     for _ in range(max_iters):
         p = _sigmoid((rows * w[skill]).sum(axis=1) + shared * shared_x)
-        resid = y - p
+        resid = y - n * p
         grad = per_skill(rows * resid[:, None]) - l2 * w
         g_shared = (shared_x * resid).sum() - l2 * shared
         grad_norm = float(np.sqrt((grad ** 2).sum() + g_shared ** 2))
         if grad_norm < tol:
             break
-        r = np.maximum(p * (1.0 - p), 1e-10)
+        r = n * np.maximum(p * (1.0 - p), 1e-10)
         hess = per_skill(r[:, None, None] * rows[:, :, None] * rows[:, None, :]) \
             + l2 * np.eye(k)
         border = per_skill(rows * (r * shared_x)[:, None])
@@ -193,8 +203,11 @@ def fit_logistic(features: PfaFeatures, design: str = "PFA",
                  l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
                  tol: float = GRAD_TOL):
     """Fit PFA (per-skill alpha/rho/beta) or LFA (global theta, per-skill
-    gamma/beta) coefficients by penalized Newton on the per-skill blocks."""
-    y = features.label.astype(np.float64)
+    gamma/beta) coefficients by penalized Newton on the per-skill blocks.
+
+    Both models see an observation only through its skill and its integer
+    counts, so the fit runs on the distinct (skill, S, F) cells for PFA and
+    (skill, S + F) cells for LFA, each with its size and number of successes."""
     design = design.upper()
     if design == "PFA":
         # per skill j: [alpha_j, rho_j, beta_j] with P = sigmoid(aS + rF - b)
@@ -205,9 +218,24 @@ def fit_logistic(features: PfaFeatures, design: str = "PFA",
     else:
         raise ValidationError(f"unknown design {design!r}")
     skills, skill = np.unique(features.skill, return_inverse=True)
-    rows = np.stack(cols + [-np.ones(len(y))], axis=1)
-    shared_x = np.full(len(y), float(design == "LFA"))   # theta's feature
-    w, theta, converged = _block_newton(rows, skill, shared_x, y, l2, max_iters, tol)
+    # one int64 key per cell, skill then counts in mixed radix
+    key, size = skill, len(skills)
+    for c in cols:
+        whole = c.astype(np.int64)
+        if (whole != c).any() or (whole < 0).any():
+            raise ValidationError("success and failure counts must be non-negative integers")
+        radix = int(whole.max(initial=0)) + 1
+        key, size = key * radix + whole, size * radix
+    if size > np.iinfo(np.int64).max:
+        raise ValidationError(f"{size} possible {design} cells overflow an int64 key")
+    _, cell, n = np.unique(key, return_inverse=True, return_counts=True)
+    member = np.empty(len(n), dtype=np.int64)
+    member[cell] = np.arange(len(cell))          # any observation of each cell
+    y = np.bincount(cell, features.label, len(n))
+    rows = np.stack([c[member] for c in cols] + [-np.ones(len(n))], axis=1)
+    shared_x = np.full(len(n), float(design == "LFA"))   # theta's feature
+    w, theta, converged = _block_newton(rows, skill[member], shared_x, n, y,
+                                        l2, max_iters, tol)
     coeffs = [dict(zip(skills.tolist(), col)) for col in w.T.tolist()]
     if design == "LFA":
         return LfaCoeffs(float(theta), *coeffs, converged=converged)

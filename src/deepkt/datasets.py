@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,20 @@ def _parse_int_list(text, path, lineno):
         raise SequenceParseError(f"{path}:{lineno}: non-integer token in {stripped!r}")
 
 
+def flatten_steps(seqs):
+    """(lengths, q, a): each sequence's length and the question and answer of
+    every step, in order.  The columns are int64 when every value is integral;
+    otherwise they stay float64, so that ``encode_interaction`` can name the
+    value (int64 would truncate it silently)."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(s.steps for s in seqs)),
+                       dtype=np.float64)
+    with np.errstate(invalid="ignore"):   # NaN and inf cast to garbage, kept below
+        whole = flat.astype(np.int64)
+    q, a = (whole if (whole == flat).all() else flat).reshape(-1, 2).T
+    return lengths, q, a
+
+
 def pad_and_mask(seqs, seq_len: int, num_kcs: int) -> PaddedBatch:
     """Chunk each sequence into consecutive pieces of <= seq_len, zero-padded.
 
@@ -166,8 +181,7 @@ def pad_and_mask(seqs, seq_len: int, num_kcs: int) -> PaddedBatch:
     """
     if seq_len < 1:
         raise ValidationError(f"seq_len must be >= 1, got {seq_len}")
-    lengths = np.array([len(seq.steps) for seq in seqs], dtype=np.int64)
-    q, a = np.array([step for seq in seqs for step in seq.steps]).reshape(-1, 2).T
+    lengths, q, a = flatten_steps(seqs)
     qa = encode_interaction(q, a, num_kcs)
     # step t of a sequence lands in its (t // seq_len)-th chunk, column t % seq_len
     chunks = -(-lengths // seq_len)

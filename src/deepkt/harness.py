@@ -11,7 +11,8 @@ import numpy as np
 
 from . import baselines, metrics, models
 from .autodiff import AdamState, adam_step, backward, clip_global_norm, no_grad
-from .datasets import Dataset, ValidationError, kfold, pad_and_mask, split_train_test
+from .datasets import (Dataset, ValidationError, flatten_steps, kfold, pad_and_mask,
+                       split_train_test)
 from .metrics import PredictionSet, TrialResult, aggregate_trials
 
 BASELINE_MODELS = ("pfa", "lfa", "irt", "item_analysis")
@@ -149,24 +150,27 @@ def _trial_metrics(pred: PredictionSet, seed: int) -> TrialResult:
 def evaluate_baseline(model: str, train_ds: Dataset, test_ds: Dataset,
                       min_students: int = 10) -> PredictionSet:
     """Fit a classical model on the train split and score test steps online."""
-    test = baselines.build_pfa_features(test_ds.sequences)
     if model in ("pfa", "lfa"):
-        feats = baselines.build_pfa_features(train_ds.sequences)
-        coeffs = baselines.fit_logistic(feats, design=model.upper())
+        test = baselines.build_pfa_features(test_ds.sequences)
+        coeffs = baselines.fit_logistic(baselines.build_pfa_features(train_ds.sequences),
+                                        design=model.upper())
         scores = (baselines.pfa_predict(coeffs, test.successes, test.failures, test.skill)
                   if model == "pfa" else
                   baselines.lfa_predict(coeffs, test.successes + test.failures, test.skill))
-    elif model == "irt":
+        return PredictionSet(scores, test.label)
+    # IRT and item analysis score a step by its question alone
+    _, skill, label = flatten_steps(test_ds.sequences)
+    if model == "irt":
         fit = baselines.fit_irt(baselines.first_attempts(train_ds.sequences))
         # test students are cold (theta unknown): use the anchored mean 0;
         # an unseen question reads beta 0, so it scores 0.5
-        scores = baselines.irt_predict(0.0, baselines.lookup(fit.beta, test.skill))
+        scores = baselines.irt_predict(0.0, baselines.lookup(fit.beta, skill))
     elif model == "item_analysis":
         diff = baselines.item_analysis(train_ds.sequences, min_students)
-        scores = 1.0 - baselines.lookup(diff, test.skill, default=0.5)
+        scores = 1.0 - baselines.lookup(diff, skill, default=0.5)
     else:
         raise ValidationError(f"unknown baseline {model!r}")
-    return PredictionSet(scores, test.label)
+    return PredictionSet(scores, label)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ XENT_EPS = 1e-7
 
 
 class MetricUndefinedError(ValueError):
-    """The metric is undefined on this input (empty or single-class)."""
+    """The metric is undefined on this input (empty, single-class or non-finite)."""
 
 
 @dataclass
@@ -46,8 +46,16 @@ def tied_ranks(values) -> np.ndarray:
     return ranks
 
 
+def _check_finite(pred: PredictionSet) -> None:
+    bad = np.flatnonzero(~np.isfinite(pred.scores))
+    if len(bad):
+        raise MetricUndefinedError(
+            f"score {bad[0]} is {pred.scores[bad[0]]}: metrics need finite scores")
+
+
 def auc(pred: PredictionSet) -> float:
     """Mann-Whitney AUC with average ranks for tied scores."""
+    _check_finite(pred)
     pos = pred.labels == 1
     n_pos = int(pos.sum())
     n_neg = len(pred.labels) - n_pos
@@ -60,6 +68,7 @@ def auc(pred: PredictionSet) -> float:
 def accuracy(pred: PredictionSet, threshold: float = 0.5) -> float:
     if len(pred.labels) == 0:
         raise MetricUndefinedError("accuracy of an empty prediction set")
+    _check_finite(pred)
     hits = (pred.scores >= threshold).astype(np.int64) == pred.labels
     return float(hits.mean())
 
@@ -67,6 +76,7 @@ def accuracy(pred: PredictionSet, threshold: float = 0.5) -> float:
 def mean_xent(pred: PredictionSet, eps: float = XENT_EPS) -> float:
     if len(pred.labels) == 0:
         raise MetricUndefinedError("cross-entropy of an empty prediction set")
+    _check_finite(pred)
     p = np.clip(pred.scores, eps, 1.0 - eps)
     y = pred.labels
     return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)).mean())

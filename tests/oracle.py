@@ -3,8 +3,9 @@
 The per-step forwards for DKVMN, Deep-IRT and DKT build one small graph node
 per operation and time step, exactly as the models were first written.  The
 fused forwards in ``deepkt.models`` must agree with them on every scored step,
-in values and in gradients.  The dense IRLS fit, the per-step baseline scoring
-and the run-by-run rank loop are the references for ``deepkt.baselines``,
+in values and in gradients.  The dense IRLS fit, the step-by-step counting
+loop, the three-sigmoid IRT loop, the per-step baseline scoring and the
+run-by-run rank loop are the references for ``deepkt.baselines``,
 ``harness.evaluate_baseline`` and ``metrics.tied_ranks``.
 """
 
@@ -205,6 +206,74 @@ def fit_logistic_dense(features, design, l2=baselines.L2_PENALTY,
         gamma={j: float(w[1 + 2 * idx[j]]) for j in skills},
         beta={j: float(w[2 + 2 * idx[j]]) for j in skills},
         converged=converged)
+
+
+def build_pfa_features_loop(seqs):
+    """Prior success/failure counts kept in a dict per student, step by step."""
+    skill, succ, fail, label = [], [], [], []
+    for seq in seqs:
+        counts = {}
+        for q, a in seq.steps:
+            s, f = counts.get(q, (0, 0))
+            skill.append(q)
+            succ.append(s)
+            fail.append(f)
+            label.append(a)
+            counts[q] = (s + a, f + (1 - a))
+    return baselines.PfaFeatures(skill=np.array(skill, dtype=np.int64),
+                                 successes=np.array(succ, dtype=np.float64),
+                                 failures=np.array(fail, dtype=np.float64),
+                                 label=np.array(label, dtype=np.int64))
+
+
+def fit_irt_loop(first_attempts, l2=baselines.L2_PENALTY,
+                 max_iters=baselines.MAX_ITERS, tol=baselines.GRAD_TOL):
+    """``baselines.fit_irt`` as first written: three sigmoid passes per
+    iteration, the last one only for the gradient-norm check."""
+    students, questions, answers = zip(*first_attempts)
+    students, si = np.unique(students, return_inverse=True)
+    questions, qi = np.unique(questions, return_inverse=True)
+    y = np.array(answers, dtype=np.float64)
+
+    theta = np.zeros(len(students))
+    beta = np.zeros(len(questions))
+    grad_norm = np.inf
+    for _ in range(max_iters):
+        p = ad._sigmoid(theta[si] - beta[qi])
+        resid = y - p
+        w = p * (1.0 - p)
+        g_theta = np.bincount(si, resid, len(students)) - l2 * theta
+        h_theta = np.bincount(si, w, len(students)) + l2
+        theta += g_theta / h_theta
+
+        p = ad._sigmoid(theta[si] - beta[qi])
+        resid = y - p
+        w = p * (1.0 - p)
+        g_beta = -np.bincount(qi, resid, len(questions)) - l2 * beta
+        h_beta = np.bincount(qi, w, len(questions)) + l2
+        beta += g_beta / h_beta
+
+        shift = (theta.sum() + beta.sum()) / (len(theta) + len(beta))
+        theta -= shift
+        beta -= shift
+
+        p = ad._sigmoid(theta[si] - beta[qi])
+        resid = y - p
+        g_theta = np.bincount(si, resid, len(students)) - l2 * theta
+        g_beta = -np.bincount(qi, resid, len(questions)) - l2 * beta
+        grad_norm = float(np.sqrt((g_theta ** 2).sum() + (g_beta ** 2).sum()))
+        if grad_norm < tol:
+            break
+
+    shift = theta.mean()
+    theta -= shift
+    beta -= shift
+    converged = grad_norm < tol
+    if not converged:
+        warnings.warn(f"fit_irt stopped at gradient norm {grad_norm:.3g}")
+    return baselines.IrtParams(theta=dict(zip(students.tolist(), theta.tolist())),
+                               beta=dict(zip(questions.tolist(), beta.tolist())),
+                               converged=converged, grad_norm=grad_norm)
 
 
 def evaluate_baseline_per_step(model, train_ds, test_ds, min_students=10):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import oracle
-from deepkt.baselines import (IrtParams, LfaCoeffs, PfaCoeffs,
+from deepkt import baselines
+from deepkt.baselines import (IrtParams, LfaCoeffs, PfaCoeffs, PfaFeatures,
                               build_pfa_features, first_attempts, fit_irt,
                               fit_logistic, irt_predict, item_analysis,
                               lfa_predict, pfa_predict)
@@ -20,6 +21,12 @@ def seq(student, pairs):
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def random_seqs(rng, n_students, num_skills, max_len):
+    return [seq(i, zip(rng.integers(1, num_skills + 1, n).tolist(),
+                       rng.integers(0, 2, n).tolist()))
+            for i, n in enumerate(rng.integers(1, max_len + 1, n_students))]
 
 
 class TestIrtPredict:
@@ -93,6 +100,33 @@ class TestFitIrt:
         assert not fit.converged
 
 
+def irt_cases():
+    """(name, first-attempt triples, max_iters) for the loop comparison."""
+    rng = np.random.default_rng(11)
+    _, _, crossed = TestFitIrt().crossed_data(rng, 40, 30)
+    cfg = SyntheticConfig(num_students=200, num_questions=25, num_concepts=5,
+                          guess_c=0.0, seed=7)
+    synthetic = first_attempts(generate_synthetic(cfg)[0].sequences)
+    return [("crossed", crossed, 500), ("crossed-stopped", crossed, 3),
+            ("synthetic", synthetic, 500)]
+
+
+IRT_CASES = irt_cases()
+
+
+class TestFitIrtMatchesLoop:
+    @pytest.mark.parametrize("name,triples,max_iters", IRT_CASES,
+                             ids=[c[0] for c in IRT_CASES])
+    def test_bit_identical(self, name, triples, max_iters):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = fit_irt(triples, max_iters=max_iters)
+            loop = oracle.fit_irt_loop(triples, max_iters=max_iters)
+        assert fast.theta == loop.theta and fast.beta == loop.beta
+        assert fast.grad_norm == loop.grad_norm
+        assert fast.converged == loop.converged == (max_iters == 500)
+
+
 class TestBuildPfaFeatures:
     def test_counts_by_hand(self):
         feats = build_pfa_features([seq(0, [(1, 1), (1, 0), (2, 1), (1, 1)])])
@@ -123,6 +157,25 @@ class TestBuildPfaFeatures:
                 assert feats.label[k] == a
                 k += 1
         assert k == len(feats)
+
+    @pytest.mark.parametrize("name,seqs", [
+        ("interleaved-repeated", [seq(0, [(2, 1), (1, 0), (2, 0), (1, 1), (2, 1),
+                                          (3, 0), (1, 0), (2, 1)]),
+                                  seq(1, [(1, 1), (1, 1), (2, 0), (1, 0)])]),
+        ("empty-sequence", [seq(0, [(1, 1), (1, 0)]), seq(1, []), seq(2, [(1, 0)])]),
+        ("no-sequences", []),
+        ("one-step-sequences", [seq(i, [(1 + i % 3, i % 2)]) for i in range(7)]),
+        ("sparse-ids", [seq(0, [(100000, 1), (7, 0), (100000, 0), (7, 1), (7, 1)]),
+                        seq(1, [(7, 0), (100000, 1), (100000, 1)])]),
+        ("random", random_seqs(np.random.default_rng(8), 40, 6, 30)),
+    ])
+    def test_equals_loop_bit_for_bit(self, name, seqs):
+        fast = build_pfa_features(seqs)
+        loop = oracle.build_pfa_features_loop(seqs)
+        for field in ("skill", "successes", "failures", "label"):
+            got, want = getattr(fast, field), getattr(loop, field)
+            assert got.dtype == want.dtype, field
+            np.testing.assert_array_equal(got, want, err_msg=field)
 
 
 class TestFitLogistic:
@@ -183,12 +236,6 @@ class TestFitLogistic:
         seqs = [seq(i, [(1, 1)]) for i in range(50)]
         with pytest.warns(UserWarning, match="separation"):
             fit_logistic(build_pfa_features(seqs), design="PFA")
-
-
-def random_seqs(rng, n_students, num_skills, max_len):
-    return [seq(i, zip(rng.integers(1, num_skills + 1, n).tolist(),
-                       rng.integers(0, 2, n).tolist()))
-            for i, n in enumerate(rng.integers(1, max_len + 1, n_students))]
 
 
 def until_first_success(rng, n_students, skill, p=0.3):
@@ -274,6 +321,62 @@ class TestBlockNewtonMatchesDense:
             with pytest.warns(UserWarning, match=want):
                 fit_logistic(build_pfa_features(seqs), design="PFA",
                              max_iters=max_iters)
+
+
+class TestGroupedFit:
+    """The fit groups observations into (skill, S, F) or (skill, S + F) cells."""
+
+    def features(self, skill, successes, failures, label):
+        return PfaFeatures(skill=np.asarray(skill, dtype=np.int64),
+                           successes=np.asarray(successes, dtype=np.float64),
+                           failures=np.asarray(failures, dtype=np.float64),
+                           label=np.asarray(label, dtype=np.int64))
+
+    def fit_counting_cells(self, monkeypatch, feats, design):
+        cells = []
+        block_newton = baselines._block_newton
+
+        def spy(rows, skill, shared_x, n, y, *args):
+            cells.append((len(n), n.sum(), y.sum()))
+            return block_newton(rows, skill, shared_x, n, y, *args)
+
+        monkeypatch.setattr(baselines, "_block_newton", spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_logistic(feats, design=design)
+        with warnings.catch_warnings(record=True) as dense_caught:
+            warnings.simplefilter("always")
+            dense = oracle.fit_logistic_dense(feats, design)
+        np.testing.assert_allclose(coefficient_vector(fit), coefficient_vector(dense),
+                                   rtol=0, atol=1e-8)
+        assert fit.converged == dense.converged
+        assert [str(w.message) for w in caught] == [str(w.message) for w in dense_caught]
+        return cells
+
+    @pytest.mark.parametrize("design", ["PFA", "LFA"])
+    def test_every_observation_its_own_cell(self, monkeypatch, rng, design):
+        k = np.arange(40) % 10
+        feats = self.features(1 + np.arange(40) // 10, 2 * k, k % 2,
+                              rng.integers(0, 2, 40))
+        cells = self.fit_counting_cells(monkeypatch, feats, design)
+        assert cells == [(40, 40, feats.label.sum())]
+
+    @pytest.mark.parametrize("design", ["PFA", "LFA"])
+    def test_all_observations_one_cell(self, monkeypatch, design):
+        feats = self.features(np.full(50, 3), np.full(50, 2), np.ones(50),
+                              np.arange(50) < 30)
+        cells = self.fit_counting_cells(monkeypatch, feats, design)
+        assert cells == [(1, 50, 30)]
+
+    @pytest.mark.parametrize("successes,match", [
+        ([0.0, 1.5], "non-negative integers"),
+        ([0.0, -1.0], "non-negative integers"),
+        ([0.0, 2.0 ** 40], "overflow"),
+    ])
+    def test_counts_must_be_small_non_negative_integers(self, successes, match):
+        feats = self.features([1, 2], successes, [0.0, 2.0 ** 40], [0, 1])
+        with pytest.raises(ValidationError, match=match):
+            fit_logistic(feats, design="PFA")
 
 
 class TestPredictors:

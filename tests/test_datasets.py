@@ -149,6 +149,21 @@ class TestPadAndMask:
         assert b.qa_ids[0, 0] == 6
 
 
+class TestFlattenSteps:
+    def test_columns_in_step_order(self):
+        seqs = [make_seq(0, [(3, 1), (1, 0)]), make_seq(1, []), make_seq(2, [(2.0, 1)])]
+        lengths, q, a = datasets.flatten_steps(seqs)
+        for got, want in ((lengths, [2, 0, 1]), (q, [3, 1, 2]), (a, [1, 0, 1])):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        assert [len(c) for c in datasets.flatten_steps([])] == [0, 0, 0]
+
+    @pytest.mark.parametrize("step", [(1.5, 1), (2, 0.5), (float("nan"), 1)])
+    def test_non_integral_value_kept(self, step):
+        _, q, a = datasets.flatten_steps([make_seq(0, [(1, 0), step])])
+        np.testing.assert_array_equal(np.c_[q, a], [(1, 0), step])
+
+
 class TestSplits:
     def ds(self, n, Q=5):
         return Dataset(Q, [make_seq(i, [(1 + i % Q, i % 2)]) for i in range(n)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from deepkt import harness, models
+from deepkt import baselines, harness, models
 from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
                              ValidationError, generate_synthetic, pad_and_mask)
 from deepkt.harness import (GridSpec, TrainConfig, TrainingError,
@@ -235,6 +235,19 @@ class TestBaselineEvaluation:
         np.testing.assert_allclose(pred.scores, scores, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(pred.labels, labels)
         assert np.all(pred.scores[-4:][[0, 2, 3]] == 0.5)
+
+    @pytest.mark.parametrize("model", ["irt", "item_analysis"])
+    def test_question_only_models_skip_the_counting_pass(self, rng, monkeypatch, model):
+        tr, te = self.make_splits(rng)
+        want = evaluate_baseline(model, Dataset(3, tr), Dataset(3, te), min_students=2)
+
+        def refuse(seqs):
+            raise AssertionError("counts built for a model that reads none")
+
+        monkeypatch.setattr(baselines, "build_pfa_features", refuse)
+        got = evaluate_baseline(model, Dataset(3, tr), Dataset(3, te), min_students=2)
+        np.testing.assert_array_equal(got.scores, want.scores)
+        np.testing.assert_array_equal(got.labels, want.labels)
 
     def test_unknown_baseline(self, rng):
         tr, te = self.make_splits(rng)

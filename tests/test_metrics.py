@@ -130,6 +130,15 @@ class TestMeanXent:
         assert mean_xent(PredictionSet(scores, labels)) == pytest.approx(direct, abs=1e-12)
 
 
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("metric", [auc, accuracy, mean_xent])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejected_naming_first_index(self, metric, bad):
+        pred = PredictionSet([0.2, 0.7, bad, 0.1, bad], [0, 1, 1, 0, 1])
+        with pytest.raises(MetricUndefinedError, match=f"score 2 is {bad}"):
+            metric(pred)
+
+
 class TestTtest:
     def test_identical_samples(self):
         t, dof, p = ttest_two_tailed([1, 2, 3], [1, 2, 3])
