@@ -215,7 +215,7 @@ def _sigmoid(x):
     """Logistic function without overflow for large |x|."""
     x = np.asarray(x, dtype=np.float64)
     ex = np.exp(-np.abs(x))     # exp(-x) where x >= 0, exp(x) below
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -441,9 +441,12 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     before writing it:
         r[s]   = sum_i w[s,i] * M[i]
         M[i]  <- M[i] * (1 - w[s,i] * erase[s]) + w[s,i] * add_vec[s]
-    (computed as M[i] - w[s,i] * (M[i] * erase[s] - add_vec[s])).  Forward
-    keeps the memory each cell read when a gradient is needed; backward is a
-    reverse scan.  Without one, only the live batch memory is held.
+    (computed as M[i] - w[s,i] * (M[i] * erase[s] - add_vec[s])).  Each
+    block's reads go straight to their cells' rows.  When a gradient is
+    needed, forward sorts the inputs by time once and keeps the memory each
+    cell read, since the reverse-scan backward re-reads both block by block.
+    Without one, each block's input rows are read in place and only the live
+    batch memory is held.
     """
     S, N = w.shape
     d = mem0.cols
@@ -452,25 +455,30 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
             f"memory_scan: mem0 {mem0.shape}, w {w.shape}, e {erase.shape}, "
             f"a {add_vec.shape}")
     order, blocks = _time_blocks(bi, ti, batch_rows, steps)
-    ws, es, as_ = w.data[order], erase.data[order], add_vec.data[order]
     mem = np.tile(mem0.data, (batch_rows, 1, 1))
     save = _needs_grad((mem0, w, erase, add_vec))
-    before = np.empty((S, N, d)) if save else None   # the memory each cell read
+    if save:
+        ws, es, as_ = w.data[order], erase.data[order], add_vec.data[order]
+        before = np.empty((S, N, d))   # the memory each cell read
     reads = np.empty((S, d))
     buf = np.empty((batch_rows, N, d))
     for lo, hi, rows in blocks:
+        cells = order[lo:hi]
         if not save:
+            wb, eb, ab = w.data[cells], erase.data[cells], add_vec.data[cells]
             m = mem if rows is None else mem[rows]
-        elif rows is None:
-            m = before[lo:hi]
-            m[...] = mem
         else:
-            m = np.take(mem, rows, axis=0, out=before[lo:hi])
-        reads[lo:hi] = np.matmul(ws[lo:hi, None, :], m)[:, 0, :]
+            wb, eb, ab = ws[lo:hi], es[lo:hi], as_[lo:hi]
+            m = before[lo:hi]
+            if rows is None:
+                m[...] = mem
+            else:
+                np.take(mem, rows, axis=0, out=m)
+        reads[cells] = np.matmul(wb[:, None, :], m)[:, 0, :]
         # M - w (M e - a), in place
-        delta = np.multiply(m, es[lo:hi, None, :], out=buf[:hi - lo])
-        delta -= as_[lo:hi, None, :]
-        delta *= ws[lo:hi, :, None]
+        delta = np.multiply(m, eb[:, None, :], out=buf[:hi - lo])
+        delta -= ab[:, None, :]
+        delta *= wb[:, :, None]
         if rows is None:
             np.subtract(m, delta, out=mem)
         else:
@@ -504,8 +512,7 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         erase.accumulate_grad(_unsort(order, ge))
         add_vec.accumulate_grad(_unsort(order, ga))
 
-    return _node(_unsort(order, reads), "memory_scan", (mem0, w, erase, add_vec),
-                 backward)
+    return _node(reads, "memory_scan", (mem0, w, erase, add_vec), backward)
 
 
 def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Tensor:
@@ -516,15 +523,21 @@ def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Te
         z = x[s] + h @ w_h
         c <- sigmoid(z_f) * c + sigmoid(z_i) * tanh(z_g)
         h <- sigmoid(z_o) * tanh(c)
-    Forward keeps each cell's gates and states when a gradient is needed;
-    backward is a reverse scan.
+    One tanh gives all four gates, as sigmoid(z) = 1/2 + tanh(z/2)/2: the
+    halving is exact, so it is folded into the sigmoid columns of w_h and x.
+    Each block reads its input rows in place and writes its hidden states
+    straight to their cells' rows.  Forward keeps each cell's gates and
+    states when a gradient is needed; backward is a reverse scan.
     """
     S = x.rows
     hs = w_h.rows
     if w_h.cols != 4 * hs or x.cols != 4 * hs:
         raise ShapeMismatchError(f"lstm_scan: x {x.shape}, w_h {w_h.shape}")
     order, blocks = _time_blocks(bi, ti, batch_rows, steps)
-    xs = x.data[order]
+    half = np.full(4 * hs, 0.5)
+    half[2 * hs:3 * hs] = 1.0           # the cell gate is a plain tanh
+    shift = 1.0 - half                  # sigmoid = half * tanh + 1/2
+    w_half = w_h.data * half
     h_state, c_state = np.zeros((batch_rows, hs)), np.zeros((batch_rows, hs))
     save = _needs_grad((x, w_h))
     if save:
@@ -532,21 +545,26 @@ def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Te
         h_prev, c_prev, tanh_c = np.empty((S, hs)), np.empty((S, hs)), np.empty((S, hs))
     h_out = np.empty((S, hs))
     for lo, hi, rows in blocks:
+        cells = order[lo:hi]
         hp = h_state if rows is None else h_state[rows]
         cp = c_state if rows is None else c_state[rows]
-        z = xs[lo:hi] + hp @ w_h.data
-        gt = _sigmoid(z)
-        gt[:, 2 * hs:3 * hs] = np.tanh(z[:, 2 * hs:3 * hs])
+        gt = x.data[cells]
+        gt *= half
+        gt += hp @ w_half
+        np.tanh(gt, out=gt)
+        gt *= half
+        gt += shift
         c = gt[:, hs:2 * hs] * cp + gt[:, :hs] * gt[:, 2 * hs:3 * hs]
         tc = np.tanh(c)
-        h_out[lo:hi] = gt[:, 3 * hs:] * tc
+        h = gt[:, 3 * hs:] * tc
+        h_out[cells] = h
         if save:
             gates[lo:hi], tanh_c[lo:hi] = gt, tc
             h_prev[lo:hi], c_prev[lo:hi] = hp, cp
         if rows is None:
-            h_state, c_state = h_out[lo:hi].copy(), c
+            h_state, c_state = h, c
         else:
-            h_state[rows], c_state[rows] = h_out[lo:hi], c
+            h_state[rows], c_state[rows] = h, c
 
     def backward(g, out):
         gs = g[order]
@@ -572,7 +590,7 @@ def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Te
         x.accumulate_grad(_unsort(order, dz))
         w_h.accumulate_grad(h_prev.T @ dz)
 
-    return _node(_unsort(order, h_out), "lstm_scan", (x, w_h), backward)
+    return _node(h_out, "lstm_scan", (x, w_h), backward)
 
 
 def binary_cross_entropy(p: Tensor, targets, mask, eps: float = 1e-7) -> Tensor:

@@ -84,6 +84,9 @@ class SyntheticGroundTruth:
 def encode_interaction(q, a, num_kcs: int):
     """Combined interaction id: q + a * Q, in [1, 2Q]; q and a may be arrays."""
     q, a = np.asarray(q), np.asarray(a)
+    non_finite = ~np.isfinite(q)   # inf % 1 is NaN, with a warning
+    if non_finite.any():
+        raise ValidationError(f"question id {q[non_finite][0]} is not finite")
     fractional = q % 1 != 0
     if fractional.any():
         raise ValidationError(f"question id {q[fractional][0]} is not an integer")

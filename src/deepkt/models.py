@@ -193,8 +193,8 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
     pred_mask[:, 0] = 0
     cells = np.nonzero(pred_mask)
     rows, steps = cells
-    # one-hot(qa) @ W_x is a row lookup
-    x = ad.gather_rows(params.W_x, batch.qa_ids[rows, steps - 1]) + params.b_g
+    # one-hot(qa) @ W_x + b_g is a row lookup in W_x + b_g
+    x = ad.gather_rows(params.W_x + params.b_g, batch.qa_ids[rows, steps - 1])
     h = ad.lstm_scan(x, params.W_h, rows, steps, B, L)
     q = batch.q_ids[cells]
     logit = ad.mul(h, ad.gather_rows(params.W_y.T, q)) \

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -350,11 +352,15 @@ class TestLstmScan:
 
     def test_matches_cell_loop(self, rng):
         lengths = [3, 0, 5, 1]
-        x, w_h = self.inputs(rng, lengths)
         rows, cols = ragged_cells(rng, lengths, 5)
-        out = ad.lstm_scan(x, w_h, rows, cols, 4, 5)
-        expect = lstm_scan_loop(x.data, w_h.data, rows, cols, 4)
-        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+        # the larger scale drives |z| past 30, into the gates' saturated tails
+        for scale in (1.0, 40.0):
+            x, w_h = self.inputs(rng, lengths)
+            x.data *= scale
+            out = ad.lstm_scan(x, w_h, rows, cols, 4, 5)
+            expect = lstm_scan_loop(x.data, w_h.data, rows, cols, 4)
+            np.testing.assert_allclose(out.data, expect, atol=1e-12)
+        assert np.abs(x.data).max() > 30
 
     def test_gradient_vs_finite_differences(self, rng):
         lengths = [4, 2, 3]
@@ -400,6 +406,36 @@ class TestNoGrad:
             without = ad.lstm_scan(x, w_h, *args)
         assert with_grad._parents and not without._parents
         np.testing.assert_array_equal(without.data, with_grad.data)
+
+    def test_scans_copy_no_inputs(self, rng):
+        # many cells on few rows: a copy of the inputs in time order would
+        # outweigh the output, the time order, the batch state and the
+        # per-block temporaries together
+        B, L, N, d, hs = 8, 500, 16, 16, 8
+        rows, cols = ragged_cells(rng, [L] * B, L)
+        S = len(rows)
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        time_order = peak_bytes(lambda: ad._time_blocks(rows, cols, B, L))
+        scans = [(ad.memory_scan, TestMemoryScan().inputs(rng, [L] * B, N, d),
+                  d, B * N * d),
+                 (ad.lstm_scan, TestLstmScan().inputs(rng, [L] * B, hs),
+                  hs, B * 4 * hs)]
+        for scan, inputs, out_cols, block_size in scans:
+            with ad.no_grad():
+                peak = peak_bytes(lambda: scan(*inputs, rows, cols, B, L))
+            out_bytes = S * out_cols * 8
+            bound = out_bytes + time_order + 8 * block_size * 8
+            smallest_input = min(t.data.nbytes for t in inputs if t.rows == S)
+            assert bound < out_bytes + smallest_input
+            assert peak < bound, (scan.__name__, peak, bound)
 
     def test_outputs_are_leaves(self, rng):
         x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)

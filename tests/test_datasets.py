@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,14 @@ class TestPadAndMask:
         with pytest.raises(ValidationError,
                            match=r"question id 1\.5 is not an integer"):
             pad_and_mask([make_seq(0, [(1.5, 1)])], 4, 4)
+
+    def test_non_finite_question_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ValidationError,
+                                   match=f"question id {q} is not finite"):
+                    pad_and_mask([make_seq(0, [(1, 0), (q, 1)])], 4, 4)
 
     def test_integral_float_question_accepted(self):
         b = pad_and_mask([make_seq(0, [(2.0, 1)])], 4, 4)

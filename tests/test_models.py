@@ -464,6 +464,14 @@ class TestModelGradients:
         check_gradients(self.loss_fn_for(params, batch), params.parameters(),
                         rng, n_samples=12)
 
+    def test_dkt_input_bias_reaches_every_gate(self, rng):
+        # b_g enters through the gathered rows of W_x + b_g; probe all 4h
+        # entries, so each gate's column block is checked
+        params = init_params(DktArch(num_kcs=4, hidden=3), std=0.3, seed=0)
+        batch = make_batch([random_steps(rng, 4, 4), random_steps(rng, 3, 4)], 4, 4)
+        check_gradients(self.loss_fn_for(params, batch), [params.b_g], rng,
+                        n_samples=params.b_g.cols)
+
     def test_pad_content_cannot_leak_into_gradients(self, rng):
         # scribbling garbage over the padded positions must leave the loss and
         # every gradient bit-identical
