@@ -396,35 +396,30 @@ def memory_write(mem: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor) -> Tens
 # ---------------------------------------------------------------------------
 # fused recurrences over the scored cells of a padded batch
 #
-# A scored cell s sits at batch row bi[s] and time step ti[s].  Every batch row
-# starts from the same initial state, runs its cells in time order, and keeps
-# its state across unscored cells.  The scans work on one time step at a time
-# over all rows that have a cell there; cells may come in any order.
+# The S scored cells come row by row: batch row b owns the next lengths[b]
+# cells, in time order.  Every row starts from the same initial state and runs
+# its own cells in order.  The scans hold the rows' states longest row first,
+# so the rows with a k-th cell are always the leading rows of the state, and
+# step k updates a view of it in place.
 
 
-def _time_blocks(bi, ti, batch_rows, steps):
-    """Return (order, blocks): ``order`` sorts the cells by time, then row, and
-    each occupied time step gets a block (lo, hi, rows) whose cells are
-    ``order[lo:hi]`` and whose batch rows are ``rows`` (None when every row
-    has a cell there)."""
-    bi = np.asarray(bi, dtype=np.int64)
-    ti = np.asarray(ti, dtype=np.int64)
-    if bi.shape != ti.shape or bi.ndim != 1:
-        raise ShapeMismatchError(f"scan cells: rows {bi.shape} vs steps {ti.shape}")
-    if bi.size and (bi.min() < 0 or bi.max() >= batch_rows
-                    or ti.min() < 0 or ti.max() >= steps):
-        raise IndexOutOfRangeError(
-            f"scan cells fall outside a {batch_rows} x {steps} batch")
-    order = np.lexsort((bi, ti))
-    rows_sorted = bi[order]
-    bounds = np.searchsorted(ti[order], np.arange(steps + 1))
-    blocks = []
-    for t in range(steps):
-        lo, hi = int(bounds[t]), int(bounds[t + 1])
-        if lo < hi:
-            blocks.append((lo, hi, None if hi - lo == batch_rows
-                           else rows_sorted[lo:hi]))
-    return order, blocks
+def _time_blocks(lengths, S):
+    """Return (order, blocks): step k is a block (lo, hi) whose cells
+    ``order[lo:hi]`` are the k-th cells of the hi - lo longest rows, longest
+    first (ties in row order)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != S:
+        raise ShapeMismatchError(
+            f"scan lengths must be one count >= 0 per row, summing to {S} cells")
+    rank = np.argsort(-lengths, kind="stable")
+    longest = int(lengths.max(initial=0))
+    # rows with a k-th cell: the ranked lengths are descending
+    counts = np.searchsorted(-lengths[rank], -np.arange(longest))
+    bounds = np.r_[0, np.cumsum(counts)]
+    starts = (np.cumsum(lengths) - lengths)[rank]
+    step = np.repeat(np.arange(longest), counts)
+    order = starts[np.arange(S) - bounds[step]] + step
+    return order, list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
 def _unsort(order, sorted_values):
@@ -434,7 +429,7 @@ def _unsort(order, sorted_values):
 
 
 def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
-                bi, ti, batch_rows: int, steps: int) -> Tensor:
+                lengths) -> Tensor:
     """DKVMN value-memory recurrence; returns the S x d read vectors.
 
     Each row's memory starts as mem0 (N x d).  Cell s reads its row's memory
@@ -454,44 +449,36 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         raise ShapeMismatchError(
             f"memory_scan: mem0 {mem0.shape}, w {w.shape}, e {erase.shape}, "
             f"a {add_vec.shape}")
-    order, blocks = _time_blocks(bi, ti, batch_rows, steps)
-    mem = np.tile(mem0.data, (batch_rows, 1, 1))
+    order, blocks = _time_blocks(lengths, S)
+    B = len(lengths)
+    mem = np.tile(mem0.data, (B, 1, 1))
     save = _needs_grad((mem0, w, erase, add_vec))
     if save:
         ws, es, as_ = w.data[order], erase.data[order], add_vec.data[order]
         before = np.empty((S, N, d))   # the memory each cell read
     reads = np.empty((S, d))
-    buf = np.empty((batch_rows, N, d))
-    for lo, hi, rows in blocks:
-        cells = order[lo:hi]
-        if not save:
-            wb, eb, ab = w.data[cells], erase.data[cells], add_vec.data[cells]
-            m = mem if rows is None else mem[rows]
-        else:
+    buf = np.empty((B, N, d))
+    for lo, hi in blocks:
+        cells, m = order[lo:hi], mem[:hi - lo]
+        if save:
             wb, eb, ab = ws[lo:hi], es[lo:hi], as_[lo:hi]
-            m = before[lo:hi]
-            if rows is None:
-                m[...] = mem
-            else:
-                np.take(mem, rows, axis=0, out=m)
+            before[lo:hi] = m
+        else:
+            wb, eb, ab = w.data[cells], erase.data[cells], add_vec.data[cells]
         reads[cells] = np.matmul(wb[:, None, :], m)[:, 0, :]
         # M - w (M e - a), in place
         delta = np.multiply(m, eb[:, None, :], out=buf[:hi - lo])
         delta -= ab[:, None, :]
         delta *= wb[:, :, None]
-        if rows is None:
-            np.subtract(m, delta, out=mem)
-        else:
-            mem[rows] = m - delta
+        m -= delta
 
     def backward(g, out):
         gs = g[order]
-        gmem = np.zeros((batch_rows, N, d))   # d loss / d memory after a step
+        gmem = np.zeros((B, N, d))   # d loss / d memory after a step
         gw, ge, ga = np.empty((S, N)), np.empty((S, d)), np.empty((S, d))
-        buf_gm, buf_delta = np.empty((batch_rows, N, d)), np.empty((batch_rows, N, d))
-        for lo, hi, rows in reversed(blocks):
-            m = before[lo:hi]
-            gm = gmem if rows is None else gmem[rows]
+        buf_gm, buf_delta = np.empty((B, N, d)), np.empty((B, N, d))
+        for lo, hi in reversed(blocks):
+            m, gm = before[lo:hi], gmem[:hi - lo]
             w_row = ws[lo:hi, None, :]
             e_col, a_col, gr = es[lo:hi, :, None], as_[lo:hi, :, None], gs[lo:hi]
             gm_m = np.multiply(gm, m, out=buf_gm[:hi - lo])
@@ -503,10 +490,7 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
             delta = np.multiply(gm, es[lo:hi, None, :], out=buf_delta[:hi - lo])
             delta -= gr[:, None, :]
             delta *= ws[lo:hi, :, None]
-            if rows is None:
-                gmem -= delta
-            else:
-                gmem[rows] = gm - delta
+            gm -= delta
         mem0.accumulate_grad(gmem.sum(axis=0))
         w.accumulate_grad(_unsort(order, gw))
         erase.accumulate_grad(_unsort(order, ge))
@@ -515,7 +499,7 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     return _node(reads, "memory_scan", (mem0, w, erase, add_vec), backward)
 
 
-def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Tensor:
+def lstm_scan(x: Tensor, w_h: Tensor, lengths) -> Tensor:
     """LSTM recurrence; returns the S x h hidden state after each cell.
 
     x holds each cell's input pre-activations (S x 4h, gate order
@@ -533,60 +517,53 @@ def lstm_scan(x: Tensor, w_h: Tensor, bi, ti, batch_rows: int, steps: int) -> Te
     hs = w_h.rows
     if w_h.cols != 4 * hs or x.cols != 4 * hs:
         raise ShapeMismatchError(f"lstm_scan: x {x.shape}, w_h {w_h.shape}")
-    order, blocks = _time_blocks(bi, ti, batch_rows, steps)
+    order, blocks = _time_blocks(lengths, S)
+    B = len(lengths)
     half = np.full(4 * hs, 0.5)
     half[2 * hs:3 * hs] = 1.0           # the cell gate is a plain tanh
     shift = 1.0 - half                  # sigmoid = half * tanh + 1/2
     w_half = w_h.data * half
-    h_state, c_state = np.zeros((batch_rows, hs)), np.zeros((batch_rows, hs))
+    h_state, c_state = np.zeros((B, hs)), np.zeros((B, hs))
     save = _needs_grad((x, w_h))
     if save:
         gates = np.empty((S, 4 * hs))
         h_prev, c_prev, tanh_c = np.empty((S, hs)), np.empty((S, hs)), np.empty((S, hs))
     h_out = np.empty((S, hs))
-    for lo, hi, rows in blocks:
-        cells = order[lo:hi]
-        hp = h_state if rows is None else h_state[rows]
-        cp = c_state if rows is None else c_state[rows]
+    for lo, hi in blocks:
+        cells, h, c = order[lo:hi], h_state[:hi - lo], c_state[:hi - lo]
         gt = x.data[cells]
         gt *= half
-        gt += hp @ w_half
+        gt += h @ w_half
         np.tanh(gt, out=gt)
         gt *= half
         gt += shift
-        c = gt[:, hs:2 * hs] * cp + gt[:, :hs] * gt[:, 2 * hs:3 * hs]
+        if save:
+            h_prev[lo:hi], c_prev[lo:hi] = h, c
+        c *= gt[:, hs:2 * hs]
+        c += gt[:, :hs] * gt[:, 2 * hs:3 * hs]
         tc = np.tanh(c)
-        h = gt[:, 3 * hs:] * tc
+        np.multiply(gt[:, 3 * hs:], tc, out=h)
         h_out[cells] = h
         if save:
             gates[lo:hi], tanh_c[lo:hi] = gt, tc
-            h_prev[lo:hi], c_prev[lo:hi] = hp, cp
-        if rows is None:
-            h_state, c_state = h, c
-        else:
-            h_state[rows], c_state[rows] = h, c
 
     def backward(g, out):
         gs = g[order]
-        dh_state, dc_state = np.zeros((batch_rows, hs)), np.zeros((batch_rows, hs))
+        dh_state, dc_state = np.zeros((B, hs)), np.zeros((B, hs))
         dz = np.empty((S, 4 * hs))
-        for lo, hi, rows in reversed(blocks):
-            dh = gs[lo:hi] + (dh_state if rows is None else dh_state[rows])
-            dc_next = dc_state if rows is None else dc_state[rows]
+        for lo, hi in reversed(blocks):
+            dh, dc = gs[lo:hi] + dh_state[:hi - lo], dc_state[:hi - lo]
             gt, tc = gates[lo:hi], tanh_c[lo:hi]
             i_g, f_g = gt[:, :hs], gt[:, hs:2 * hs]
             g_g, o_g = gt[:, 2 * hs:3 * hs], gt[:, 3 * hs:]
-            dc = dc_next + dh * o_g * (1.0 - tc * tc)
+            dc += dh * o_g * (1.0 - tc * tc)
             dzt = dz[lo:hi]
             dzt[:, :hs] = dc * g_g * i_g * (1.0 - i_g)
             dzt[:, hs:2 * hs] = dc * c_prev[lo:hi] * f_g * (1.0 - f_g)
             dzt[:, 2 * hs:3 * hs] = dc * i_g * (1.0 - g_g * g_g)
             dzt[:, 3 * hs:] = dh * tc * o_g * (1.0 - o_g)
-            dh_prev, dc_prev = dzt @ w_h.data.T, dc * f_g
-            if rows is None:
-                dh_state, dc_state = dh_prev, dc_prev
-            else:
-                dh_state[rows], dc_state[rows] = dh_prev, dc_prev
+            np.matmul(dzt, w_h.data.T, out=dh_state[:hi - lo])
+            dc *= f_g
         x.accumulate_grad(_unsort(order, dz))
         w_h.accumulate_grad(h_prev.T @ dz)
 

@@ -159,7 +159,7 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     v = ad.gather_rows(params.B, batch.qa_ids[cells])
     erase = ad.sigmoid(v @ params.W_e + params.b_e)
     add = ad.tanh(v @ params.W_a + params.b_a)
-    r = ad.memory_scan(params.Mv0, w, erase, add, *cells, B, L)
+    r = ad.memory_scan(params.Mv0, w, erase, add, batch.mask.sum(axis=1))
     f = ad.tanh(ad.concat_cols(r, k) @ params.W_f + params.b_f)
     theta = beta = None
     if arch.deep_irt:
@@ -195,7 +195,7 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
     rows, steps = cells
     # one-hot(qa) @ W_x + b_g is a row lookup in W_x + b_g
     x = ad.gather_rows(params.W_x + params.b_g, batch.qa_ids[rows, steps - 1])
-    h = ad.lstm_scan(x, params.W_h, rows, steps, B, L)
+    h = ad.lstm_scan(x, params.W_h, pred_mask.sum(axis=1))
     q = batch.q_ids[cells]
     logit = ad.mul(h, ad.gather_rows(params.W_y.T, q)) \
         @ ad.constant(np.ones((arch.hidden, 1))) \
@@ -219,11 +219,6 @@ def sequence_loss(outputs: StepOutputs, batch: PaddedBatch) -> Tensor:
     labels = outputs.answers[outputs.cells].reshape(-1, 1)
     return ad.binary_cross_entropy(outputs.prob_tensor, labels,
                                    np.ones_like(labels), eps=PROB_EPS)
-
-
-def mean_loss_value(loss: Tensor, outputs: StepOutputs) -> float:
-    n = int(outputs.pred_mask.sum())
-    return loss.item() / n if n else 0.0
 
 
 def prediction_set(outputs: StepOutputs):

@@ -265,13 +265,12 @@ class TestOtherOps:
         check_gradients(loss_fn, [logits], rng, n_samples=8, rtol=1e-5)
 
 
-def ragged_cells(rng, lengths, steps):
-    """Scored cells of rows with the given prefix lengths, in shuffled order."""
+def ragged_cells(lengths, steps):
+    """Scored cells of rows with the given prefix lengths, row by row."""
     rows = np.repeat(np.arange(len(lengths)), lengths)
     cols = np.concatenate([np.arange(n) for n in lengths])
     assert cols.max() < steps
-    perm = rng.permutation(len(rows))
-    return rows[perm], cols[perm]
+    return rows, cols
 
 
 def memory_scan_loop(mem0, w, e, a, rows, cols, batch_rows):
@@ -301,6 +300,29 @@ def lstm_scan_loop(x, w_h, rows, cols, batch_rows):
     return out
 
 
+class TestTimeBlocks:
+    def test_step_t_takes_row_starts_plus_t_longest_first(self):
+        # rows start at cells 0, 5, 7 and 7; the rank is rows 0, 3, 1 (2 is empty)
+        order, blocks = ad._time_blocks([5, 2, 0, 4], 11)
+        assert blocks == [(0, 3), (3, 6), (6, 8), (8, 10), (10, 11)]
+        np.testing.assert_array_equal(order, [0, 7, 5, 1, 8, 6, 2, 9, 3, 10, 4])
+
+    def test_no_cells(self, rng):
+        mem0, w, e, a = TestMemoryScan().inputs(rng, [0, 0])
+        x, w_h = TestLstmScan().inputs(rng, [0, 0])
+        assert ad.memory_scan(mem0, w, e, a, [0, 0]).shape == (0, 4)
+        assert ad.lstm_scan(x, w_h, [0, 0]).shape == (0, 3)
+
+    @pytest.mark.parametrize("lengths", [[-1, 3], [[1, 1]], [1, 2]])
+    def test_rejects_lengths_that_are_not_row_counts(self, rng, lengths):
+        mem0, w, e, a = TestMemoryScan().inputs(rng, [2])
+        x, w_h = TestLstmScan().inputs(rng, [2])
+        with pytest.raises(ShapeMismatchError):
+            ad.memory_scan(mem0, w, e, a, lengths)
+        with pytest.raises(ShapeMismatchError):
+            ad.lstm_scan(x, w_h, lengths)
+
+
 class TestMemoryScan:
     def inputs(self, rng, lengths, N=3, d=4):
         S = sum(lengths)
@@ -313,35 +335,32 @@ class TestMemoryScan:
     def test_matches_cell_loop(self, rng):
         lengths = [5, 2, 0, 4]
         mem0, w, e, a = self.inputs(rng, lengths)
-        rows, cols = ragged_cells(rng, lengths, 6)
-        out = ad.memory_scan(mem0, w, e, a, rows, cols, 4, 6)
+        rows, cols = ragged_cells(lengths, 6)
+        out = ad.memory_scan(mem0, w, e, a, lengths)
         expect = memory_scan_loop(mem0.data, w.data, e.data, a.data, rows, cols, 4)
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_first_read_is_initial_memory(self, rng):
         mem0, w, e, a = self.inputs(rng, [1, 1])
-        out = ad.memory_scan(mem0, w, e, a, [0, 1], [0, 0], 2, 1)
+        out = ad.memory_scan(mem0, w, e, a, [1, 1])
         np.testing.assert_allclose(out.data, w.data @ mem0.data, atol=1e-12)
 
     def test_gradient_vs_finite_differences(self, rng):
         lengths = [4, 1, 3]
         mem0, w, e, a = self.inputs(rng, lengths)
-        rows, cols = ragged_cells(rng, lengths, 5)
         target = rng.normal(size=(sum(lengths), 4))
 
         def loss_fn(return_tensor=False):
-            r = ad.memory_scan(mem0, w, e, a, rows, cols, 3, 5)
+            r = ad.memory_scan(mem0, w, e, a, lengths)
             t = scalar_loss(ad.tanh(ad.mul(r, Tensor(target))))
             return t if return_tensor else t.item()
 
         check_gradients(loss_fn, [mem0, w, e, a], rng, n_samples=30, rtol=1e-6)
 
-    def test_shape_and_cell_checks(self, rng):
+    def test_shape_check(self, rng):
         mem0, w, e, a = self.inputs(rng, [2])
         with pytest.raises(ShapeMismatchError):
-            ad.memory_scan(mem0, w, Tensor(np.zeros((2, 5))), a, [0, 0], [0, 1], 1, 2)
-        with pytest.raises(ad.IndexOutOfRangeError):
-            ad.memory_scan(mem0, w, e, a, [0, 0], [0, 2], 1, 2)
+            ad.memory_scan(mem0, w, Tensor(np.zeros((2, 5))), a, [2])
 
 
 class TestLstmScan:
@@ -352,12 +371,12 @@ class TestLstmScan:
 
     def test_matches_cell_loop(self, rng):
         lengths = [3, 0, 5, 1]
-        rows, cols = ragged_cells(rng, lengths, 5)
+        rows, cols = ragged_cells(lengths, 5)
         # the larger scale drives |z| past 30, into the gates' saturated tails
         for scale in (1.0, 40.0):
             x, w_h = self.inputs(rng, lengths)
             x.data *= scale
-            out = ad.lstm_scan(x, w_h, rows, cols, 4, 5)
+            out = ad.lstm_scan(x, w_h, lengths)
             expect = lstm_scan_loop(x.data, w_h.data, rows, cols, 4)
             np.testing.assert_allclose(out.data, expect, atol=1e-12)
         assert np.abs(x.data).max() > 30
@@ -365,11 +384,10 @@ class TestLstmScan:
     def test_gradient_vs_finite_differences(self, rng):
         lengths = [4, 2, 3]
         x, w_h = self.inputs(rng, lengths)
-        rows, cols = ragged_cells(rng, lengths, 4)
         target = rng.normal(size=(sum(lengths), 3))
 
         def loss_fn(return_tensor=False):
-            h = ad.lstm_scan(x, w_h, rows, cols, 3, 4)
+            h = ad.lstm_scan(x, w_h, lengths)
             t = scalar_loss(ad.mul(h, Tensor(target)))
             return t if return_tensor else t.item()
 
@@ -378,32 +396,29 @@ class TestLstmScan:
     def test_shape_check(self, rng):
         x, _ = self.inputs(rng, [2])
         with pytest.raises(ShapeMismatchError):
-            ad.lstm_scan(x, Tensor(np.zeros((3, 8))), [0, 0], [0, 1], 1, 2)
+            ad.lstm_scan(x, Tensor(np.zeros((3, 8))), [2])
 
 
 class TestNoGrad:
-    # full rows at the early steps, ragged later: both kinds of time block
-    LENGTHS = [[5, 2, 0, 4], [3, 6, 6, 1, 6], [1, 1]]
+    # full rows at the early steps, ragged later; the last rows come in
+    # increasing length, so the longest-first rank reverses them
+    LENGTHS = [[5, 2, 0, 4], [3, 6, 6, 1, 6], [1, 1], [1, 3, 6]]
 
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_memory_scan_equals_grad_version_exactly(self, rng, lengths):
         mem0, w, e, a = TestMemoryScan().inputs(rng, lengths)
-        rows, cols = ragged_cells(rng, lengths, 6)
-        args = (rows, cols, len(lengths), 6)
-        with_grad = ad.memory_scan(mem0, w, e, a, *args)
+        with_grad = ad.memory_scan(mem0, w, e, a, lengths)
         with ad.no_grad():
-            without = ad.memory_scan(mem0, w, e, a, *args)
+            without = ad.memory_scan(mem0, w, e, a, lengths)
         assert with_grad._parents and not without._parents
         np.testing.assert_array_equal(without.data, with_grad.data)
 
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_lstm_scan_equals_grad_version_exactly(self, rng, lengths):
         x, w_h = TestLstmScan().inputs(rng, lengths)
-        rows, cols = ragged_cells(rng, lengths, 6)
-        args = (rows, cols, len(lengths), 6)
-        with_grad = ad.lstm_scan(x, w_h, *args)
+        with_grad = ad.lstm_scan(x, w_h, lengths)
         with ad.no_grad():
-            without = ad.lstm_scan(x, w_h, *args)
+            without = ad.lstm_scan(x, w_h, lengths)
         assert with_grad._parents and not without._parents
         np.testing.assert_array_equal(without.data, with_grad.data)
 
@@ -412,8 +427,7 @@ class TestNoGrad:
         # outweigh the output, the time order, the batch state and the
         # per-block temporaries together
         B, L, N, d, hs = 8, 500, 16, 16, 8
-        rows, cols = ragged_cells(rng, [L] * B, L)
-        S = len(rows)
+        S = B * L
 
         def peak_bytes(fn):
             tracemalloc.start()
@@ -423,14 +437,14 @@ class TestNoGrad:
             finally:
                 tracemalloc.stop()
 
-        time_order = peak_bytes(lambda: ad._time_blocks(rows, cols, B, L))
+        time_order = peak_bytes(lambda: ad._time_blocks([L] * B, S))
         scans = [(ad.memory_scan, TestMemoryScan().inputs(rng, [L] * B, N, d),
                   d, B * N * d),
                  (ad.lstm_scan, TestLstmScan().inputs(rng, [L] * B, hs),
                   hs, B * 4 * hs)]
         for scan, inputs, out_cols, block_size in scans:
             with ad.no_grad():
-                peak = peak_bytes(lambda: scan(*inputs, rows, cols, B, L))
+                peak = peak_bytes(lambda: scan(*inputs, [L] * B))
             out_bytes = S * out_cols * 8
             bound = out_bytes + time_order + 8 * block_size * 8
             smallest_input = min(t.data.nbytes for t in inputs if t.rows == S)
@@ -443,7 +457,7 @@ class TestNoGrad:
             outs = [ad.sigmoid(x @ x.T), ad.sum_all(x), ad.tile_rows(x, 2),
                     ad.lstm_scan(Tensor(rng.normal(size=(2, 8))),
                                  Tensor(rng.normal(size=(2, 8)), requires_grad=True),
-                                 [0, 0], [0, 1], 1, 2)]
+                                 [2])]
         for out in outs:
             assert not out.requires_grad
             assert out._parents == () and out._backward is None
