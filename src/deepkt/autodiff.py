@@ -18,7 +18,7 @@ class ShapeMismatchError(ValueError):
 
 
 class IndexOutOfRangeError(IndexError):
-    """A row id fell outside the table (ids are 1-based)."""
+    """A row id fell outside its table."""
 
 
 class GraphError(ValueError):
@@ -268,16 +268,33 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     def backward(g, out):
         if table.requires_grad:
-            # sum each id's rows in order of appearance, one segment per id
-            order = np.argsort(zero_based, kind="stable")
-            ids = zero_based[order]
-            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-            d = np.zeros_like(table.data)
-            if ids.size:
-                d[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
-            table.accumulate_grad(d)
+            table.accumulate_grad(_sum_onto_rows(zero_based, table.rows, g))
 
     return _node(out_data, "gather_rows", (table,), backward)
+
+
+def _sum_onto_rows(ids, rows, g, order=None):
+    """Sum per-cell gradients onto the rows of a ``rows``-row table: row i
+    adds up, in cell order, the rows of g of the cells s with ids[s] == i.
+    Row j of g holds cell order[j] (cell j when order is None).  One stable
+    sort groups the cells by id, and the cells of each id that has several
+    are one segment of a reduceat."""
+    by_id = np.argsort(ids, kind="stable")
+    sorted_ids = ids[by_id]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    counts = np.diff(np.r_[starts, ids.size])
+    if order is not None:         # cell s sits at row where[s] of g
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        by_id, ids = where[by_id], ids[order]
+    total = np.zeros((rows, g.shape[1]))
+    total[ids] = g    # the sum for an id with one cell; the others follow
+    many = counts > 1
+    if many.any():
+        total[sorted_ids[starts[many]]] = np.add.reduceat(
+            g[by_id[np.repeat(many, counts)]], np.cumsum(counts[many]) - counts[many],
+            axis=0)
+    return total
 
 
 def concat_cols(*tensors: Tensor) -> Tensor:
@@ -398,9 +415,12 @@ def memory_write(mem: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor) -> Tens
 #
 # The S scored cells come row by row: batch row b owns the next lengths[b]
 # cells, in time order.  Every row starts from the same initial state and runs
-# its own cells in order.  The scans hold the rows' states longest row first,
-# so the rows with a k-th cell are always the leading rows of the state, and
-# step k updates a view of it in place.
+# its own cells in order.  A cell's inputs are one row of an input table: cell
+# s uses row ids[s] (0-based), so an item that many cells share is stored and
+# computed once, and backward sums the cells' gradients onto its row.  The
+# scans hold the rows' states longest row first, so the rows with a k-th cell
+# are always the leading rows of the state, and step k updates a view of it
+# in place.
 
 
 def _time_blocks(lengths, S):
@@ -422,39 +442,46 @@ def _time_blocks(lengths, S):
     return order, list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
-def _unsort(order, sorted_values):
-    out = np.empty_like(sorted_values)
-    out[order] = sorted_values
-    return out
+def _table_ids(ids, rows):
+    """Each cell's 0-based row in an input table of ``rows`` rows."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    bad = (ids < 0) | (ids >= rows)
+    if bad.any():
+        raise IndexOutOfRangeError(f"scan id {int(ids[bad][0])} outside [0, {rows})")
+    return ids
 
 
 def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
-                lengths) -> Tensor:
+                ids, lengths) -> Tensor:
     """DKVMN value-memory recurrence; returns the S x d read vectors.
 
-    Each row's memory starts as mem0 (N x d).  Cell s reads its row's memory
-    before writing it:
-        r[s]   = sum_i w[s,i] * M[i]
-        M[i]  <- M[i] * (1 - w[s,i] * erase[s]) + w[s,i] * add_vec[s]
-    (computed as M[i] - w[s,i] * (M[i] * erase[s] - add_vec[s])).  Each
+    w (P x N), erase and add_vec (P x d) are input tables, and cell s uses
+    their row j = ids[s].  Each row's memory starts as mem0 (N x d).  Cell s
+    reads its row's memory before writing it:
+        r[s]   = sum_i w[j,i] * M[i]
+        M[i]  <- M[i] * (1 - w[j,i] * erase[j]) + w[j,i] * add_vec[j]
+    (computed as M[i] - w[j,i] * (M[i] * erase[j] - add_vec[j])).  Each
     block's reads go straight to their cells' rows.  When a gradient is
-    needed, forward sorts the inputs by time once and keeps the memory each
-    cell read, since the reverse-scan backward re-reads both block by block.
-    Without one, each block's input rows are read in place and only the live
-    batch memory is held.
+    needed, forward gathers the cells' inputs in time order once and keeps
+    the memory each cell read, since the reverse-scan backward re-reads both
+    block by block.  Without one, each block reads its rows from the tables
+    and only the live batch memory is held.
     """
-    S, N = w.shape
+    P, N = w.shape
     d = mem0.cols
-    if mem0.rows != N or erase.shape != (S, d) or add_vec.shape != (S, d):
+    if mem0.rows != N or erase.shape != (P, d) or add_vec.shape != (P, d):
         raise ShapeMismatchError(
             f"memory_scan: mem0 {mem0.shape}, w {w.shape}, e {erase.shape}, "
             f"a {add_vec.shape}")
+    ids = _table_ids(ids, P)
+    S = len(ids)
     order, blocks = _time_blocks(lengths, S)
     B = len(lengths)
     mem = np.tile(mem0.data, (B, 1, 1))
     save = _needs_grad((mem0, w, erase, add_vec))
     if save:
-        ws, es, as_ = w.data[order], erase.data[order], add_vec.data[order]
+        rows = ids[order]
+        ws, es, as_ = w.data[rows], erase.data[rows], add_vec.data[rows]
         before = np.empty((S, N, d))   # the memory each cell read
     reads = np.empty((S, d))
     buf = np.empty((B, N, d))
@@ -464,7 +491,8 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
             wb, eb, ab = ws[lo:hi], es[lo:hi], as_[lo:hi]
             before[lo:hi] = m
         else:
-            wb, eb, ab = w.data[cells], erase.data[cells], add_vec.data[cells]
+            j = ids[cells]
+            wb, eb, ab = w.data[j], erase.data[j], add_vec.data[j]
         reads[cells] = np.matmul(wb[:, None, :], m)[:, 0, :]
         # M - w (M e - a), in place
         delta = np.multiply(m, eb[:, None, :], out=buf[:hi - lo])
@@ -475,7 +503,10 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     def backward(g, out):
         gs = g[order]
         gmem = np.zeros((B, N, d))   # d loss / d memory after a step
-        gw, ge, ga = np.empty((S, N)), np.empty((S, d)), np.empty((S, d))
+        # each cell's gradients on its w, erase and add rows, side by side so
+        # that one pass sums them onto the tables
+        g_in = np.empty((S, N + 2 * d))
+        gw, ge, ga = g_in[:, :N], g_in[:, N:N + d], g_in[:, N + d:]
         buf_gm, buf_delta = np.empty((B, N, d)), np.empty((B, N, d))
         for lo, hi in reversed(blocks):
             m, gm = before[lo:hi], gmem[:hi - lo]
@@ -492,31 +523,35 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
             delta *= ws[lo:hi, :, None]
             gm -= delta
         mem0.accumulate_grad(gmem.sum(axis=0))
-        w.accumulate_grad(_unsort(order, gw))
-        erase.accumulate_grad(_unsort(order, ge))
-        add_vec.accumulate_grad(_unsort(order, ga))
+        g_tables = _sum_onto_rows(ids, P, g_in, order)
+        w.accumulate_grad(g_tables[:, :N])
+        erase.accumulate_grad(g_tables[:, N:N + d])
+        add_vec.accumulate_grad(g_tables[:, N + d:])
 
     return _node(reads, "memory_scan", (mem0, w, erase, add_vec), backward)
 
 
-def lstm_scan(x: Tensor, w_h: Tensor, lengths) -> Tensor:
+def lstm_scan(x: Tensor, ids, w_h: Tensor, lengths) -> Tensor:
     """LSTM recurrence; returns the S x h hidden state after each cell.
 
-    x holds each cell's input pre-activations (S x 4h, gate order
-    input/forget/cell/output).  Each row starts from h = c = 0, and cell s runs
-        z = x[s] + h @ w_h
+    x is a table of input pre-activations (P x 4h, gate order
+    input/forget/cell/output), and cell s uses its row ids[s].  Each row
+    starts from h = c = 0, and cell s runs
+        z = x[ids[s]] + h @ w_h
         c <- sigmoid(z_f) * c + sigmoid(z_i) * tanh(z_g)
         h <- sigmoid(z_o) * tanh(c)
     One tanh gives all four gates, as sigmoid(z) = 1/2 + tanh(z/2)/2: the
     halving is exact, so it is folded into the sigmoid columns of w_h and x.
-    Each block reads its input rows in place and writes its hidden states
-    straight to their cells' rows.  Forward keeps each cell's gates and
-    states when a gradient is needed; backward is a reverse scan.
+    Each block reads its input rows from the table and writes its hidden
+    states straight to their cells' rows.  Forward keeps each cell's gates
+    and states when a gradient is needed; backward is a reverse scan.
     """
-    S = x.rows
+    P = x.rows
     hs = w_h.rows
     if w_h.cols != 4 * hs or x.cols != 4 * hs:
         raise ShapeMismatchError(f"lstm_scan: x {x.shape}, w_h {w_h.shape}")
+    ids = _table_ids(ids, P)
+    S = len(ids)
     order, blocks = _time_blocks(lengths, S)
     B = len(lengths)
     half = np.full(4 * hs, 0.5)
@@ -531,7 +566,7 @@ def lstm_scan(x: Tensor, w_h: Tensor, lengths) -> Tensor:
     h_out = np.empty((S, hs))
     for lo, hi in blocks:
         cells, h, c = order[lo:hi], h_state[:hi - lo], c_state[:hi - lo]
-        gt = x.data[cells]
+        gt = x.data[ids[cells]]
         gt *= half
         gt += h @ w_half
         np.tanh(gt, out=gt)
@@ -564,7 +599,7 @@ def lstm_scan(x: Tensor, w_h: Tensor, lengths) -> Tensor:
             dzt[:, 3 * hs:] = dh * tc * o_g * (1.0 - o_g)
             np.matmul(dzt, w_h.data.T, out=dh_state[:hi - lo])
             dc *= f_g
-        x.accumulate_grad(_unsort(order, dz))
+        x.accumulate_grad(_sum_onto_rows(ids, P, dz, order))
         w_h.accumulate_grad(h_prev.T @ dz)
 
     return _node(h_out, "lstm_scan", (x, w_h), backward)

@@ -163,14 +163,35 @@ def _parse_int_list(text, path, lineno):
         raise SequenceParseError(f"{path}:{lineno}: non-integer token in {stripped!r}")
 
 
+def _not_a_pair(seqs):
+    """A ValidationError naming the first sequence with a step that is not a
+    (question, answer) pair, or None when every step is one."""
+    for seq in seqs:
+        for step in seq.steps:
+            if not (hasattr(step, "__len__") and len(step) == 2):
+                return ValidationError(f"sequence {seq.student_id!r}: step {step!r} "
+                                       f"is not a (question, answer) pair")
+    return None
+
+
 def flatten_steps(seqs):
     """(lengths, q, a): each sequence's length and the question and answer of
     every step, in order.  The columns are int64 when every value is integral;
     otherwise they stay float64, so that ``encode_interaction`` can name the
-    value (int64 would truncate it silently)."""
+    value (int64 would truncate it silently).  A step that is not a pair is
+    found by the value count, so steps of 3 and 1 values that make up two
+    whole pairs between them still pass."""
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(s.steps for s in seqs)),
-                       dtype=np.float64)
+    try:
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(s.steps for s in seqs)),
+                           dtype=np.float64)
+    except TypeError:     # a step that is a bare value, or a value that is None
+        error = _not_a_pair(seqs)
+        if error is None:
+            raise
+        raise error from None
+    if flat.size != 2 * lengths.sum():
+        raise _not_a_pair(seqs)
     with np.errstate(invalid="ignore"):   # NaN and inf cast to garbage, kept below
         whole = flat.astype(np.int64)
     q, a = (whole if (whole == flat).all() else flat).reshape(-1, 2).T

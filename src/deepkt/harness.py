@@ -246,8 +246,8 @@ def deep_irt_difficulties(params: models.DkvmnParams) -> dict:
     """Per-question difficulty from the trained difficulty head."""
     if params.arch.kind != "deep_irt":
         raise ValidationError("difficulty export needs a Deep-IRT checkpoint")
-    z = params.A.data @ params.W_beta.data + params.b_beta.data
-    beta = np.tanh(z)[:, 0]
+    with no_grad():
+        beta = models.difficulty(params, params.A).data[:, 0]
     return {q + 1: float(beta[q]) for q in range(params.arch.num_kcs)}
 
 

@@ -142,29 +142,46 @@ def _grid(cells, values, shape, fill):
     return out
 
 
+def difficulty(params: DkvmnParams, keys: Tensor) -> Tensor:
+    """Deep-IRT's item difficulty, tanh(k W_beta + b_beta), for each row k of
+    ``keys`` (question embeddings, rows of A)."""
+    return ad.tanh(keys @ params.W_beta + params.b_beta)
+
+
 def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     """Run DKVMN or Deep-IRT over the scored cells of a padded batch.
 
-    Attention, erase/add and the heads depend on the current interaction
-    only, so they run once over all scored cells; the value-memory write is
-    the one recurrence.  Each cell predicts from the memory before its own
-    write, and unscored cells leave the memory alone.
+    Only the memory read depends on a student's history.  Attention,
+    erase/add, the difficulty and the key half of the feature layer depend on
+    the interaction alone, so they run once per distinct interaction the
+    batch scores, and each cell reads its interaction's row.  The value-memory
+    write is the one recurrence; per cell only the read half of the feature
+    layer and the ability head run.  Each cell predicts from the memory
+    before its own write, and unscored cells leave the memory alone.
     """
     arch = params.arch
     _check_ids(batch, arch.num_kcs)
     B, L = batch.q_ids.shape
+    d = arch.state_dim
     cells = np.nonzero(batch.mask)
-    k = ad.gather_rows(params.A, batch.q_ids[cells])
+    # the scored interactions, each cell's row among them (0-based), and the
+    # question of each, read at its first cell
+    used, first, ids = np.unique(batch.qa_ids[cells], return_index=True,
+                                 return_inverse=True)
+    k = ad.gather_rows(params.A, batch.q_ids[cells[0][first], cells[1][first]])
     w = ad.softmax_rows(k @ params.Mk.T)
-    v = ad.gather_rows(params.B, batch.qa_ids[cells])
+    v = ad.gather_rows(params.B, used)
     erase = ad.sigmoid(v @ params.W_e + params.b_e)
     add = ad.tanh(v @ params.W_a + params.b_a)
-    r = ad.memory_scan(params.Mv0, w, erase, add, batch.mask.sum(axis=1))
-    f = ad.tanh(ad.concat_cols(r, k) @ params.W_f + params.b_f)
+    r = ad.memory_scan(params.Mv0, w, erase, add, ids, batch.mask.sum(axis=1))
+    # the first d rows of W_f weigh the read, the last d the key
+    w_read = ad.gather_rows(params.W_f, np.arange(1, d + 1))
+    w_key = ad.gather_rows(params.W_f, np.arange(d + 1, 2 * d + 1))
+    f = ad.tanh(r @ w_read + ad.gather_rows(k @ w_key + params.b_f, ids + 1))
     theta = beta = None
     if arch.deep_irt:
         th = ad.tanh(f @ params.W_theta + params.b_theta)
-        be = ad.tanh(k @ params.W_beta + params.b_beta)
+        be = ad.gather_rows(difficulty(params, k), ids + 1)
         prob = ad.sigmoid(ad.scale(th, ABILITY_SCALE) - be)
         theta = _grid(cells, th.data[:, 0], (B, L), 0.0)
         beta = _grid(cells, be.data[:, 0], (B, L), 0.0)
@@ -176,7 +193,8 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
                        answers=batch.answers.copy(),
                        p=_grid(cells, prob.data[:, 0], (B, L), 0.5),
                        theta=theta, beta=beta,
-                       attention=_grid(cells, w.data, (B, L, n_slots), 1.0 / n_slots))
+                       attention=_grid(cells, w.data[ids], (B, L, n_slots),
+                                       1.0 / n_slots))
 
 
 def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
@@ -193,9 +211,11 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
     pred_mask[:, 0] = 0
     cells = np.nonzero(pred_mask)
     rows, steps = cells
-    # one-hot(qa) @ W_x + b_g is a row lookup in W_x + b_g
-    x = ad.gather_rows(params.W_x + params.b_g, batch.qa_ids[rows, steps - 1])
-    h = ad.lstm_scan(x, params.W_h, pred_mask.sum(axis=1))
+    # one-hot(qa) @ W_x + b_g is a row of W_x + b_g: build the rows of the
+    # interactions the cells feed, and each cell reads its row
+    used, ids = np.unique(batch.qa_ids[rows, steps - 1], return_inverse=True)
+    x = ad.gather_rows(params.W_x, used) + params.b_g
+    h = ad.lstm_scan(x, ids, params.W_h, pred_mask.sum(axis=1))
     q = batch.q_ids[cells]
     logit = ad.mul(h, ad.gather_rows(params.W_y.T, q)) \
         @ ad.constant(np.ones((arch.hidden, 1))) \

@@ -310,17 +310,18 @@ class TestTimeBlocks:
     def test_no_cells(self, rng):
         mem0, w, e, a = TestMemoryScan().inputs(rng, [0, 0])
         x, w_h = TestLstmScan().inputs(rng, [0, 0])
-        assert ad.memory_scan(mem0, w, e, a, [0, 0]).shape == (0, 4)
-        assert ad.lstm_scan(x, w_h, [0, 0]).shape == (0, 3)
+        no_ids = np.arange(0)
+        assert ad.memory_scan(mem0, w, e, a, no_ids, [0, 0]).shape == (0, 4)
+        assert ad.lstm_scan(x, no_ids, w_h, [0, 0]).shape == (0, 3)
 
     @pytest.mark.parametrize("lengths", [[-1, 3], [[1, 1]], [1, 2]])
     def test_rejects_lengths_that_are_not_row_counts(self, rng, lengths):
         mem0, w, e, a = TestMemoryScan().inputs(rng, [2])
         x, w_h = TestLstmScan().inputs(rng, [2])
         with pytest.raises(ShapeMismatchError):
-            ad.memory_scan(mem0, w, e, a, lengths)
+            ad.memory_scan(mem0, w, e, a, np.arange(2), lengths)
         with pytest.raises(ShapeMismatchError):
-            ad.lstm_scan(x, w_h, lengths)
+            ad.lstm_scan(x, np.arange(2), w_h, lengths)
 
 
 class TestMemoryScan:
@@ -336,13 +337,13 @@ class TestMemoryScan:
         lengths = [5, 2, 0, 4]
         mem0, w, e, a = self.inputs(rng, lengths)
         rows, cols = ragged_cells(lengths, 6)
-        out = ad.memory_scan(mem0, w, e, a, lengths)
+        out = ad.memory_scan(mem0, w, e, a, np.arange(11), lengths)
         expect = memory_scan_loop(mem0.data, w.data, e.data, a.data, rows, cols, 4)
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_first_read_is_initial_memory(self, rng):
         mem0, w, e, a = self.inputs(rng, [1, 1])
-        out = ad.memory_scan(mem0, w, e, a, [1, 1])
+        out = ad.memory_scan(mem0, w, e, a, np.arange(2), [1, 1])
         np.testing.assert_allclose(out.data, w.data @ mem0.data, atol=1e-12)
 
     def test_gradient_vs_finite_differences(self, rng):
@@ -351,7 +352,7 @@ class TestMemoryScan:
         target = rng.normal(size=(sum(lengths), 4))
 
         def loss_fn(return_tensor=False):
-            r = ad.memory_scan(mem0, w, e, a, lengths)
+            r = ad.memory_scan(mem0, w, e, a, np.arange(8), lengths)
             t = scalar_loss(ad.tanh(ad.mul(r, Tensor(target))))
             return t if return_tensor else t.item()
 
@@ -360,7 +361,7 @@ class TestMemoryScan:
     def test_shape_check(self, rng):
         mem0, w, e, a = self.inputs(rng, [2])
         with pytest.raises(ShapeMismatchError):
-            ad.memory_scan(mem0, w, Tensor(np.zeros((2, 5))), a, [2])
+            ad.memory_scan(mem0, w, Tensor(np.zeros((2, 5))), a, np.arange(2), [2])
 
 
 class TestLstmScan:
@@ -376,7 +377,7 @@ class TestLstmScan:
         for scale in (1.0, 40.0):
             x, w_h = self.inputs(rng, lengths)
             x.data *= scale
-            out = ad.lstm_scan(x, w_h, lengths)
+            out = ad.lstm_scan(x, np.arange(9), w_h, lengths)
             expect = lstm_scan_loop(x.data, w_h.data, rows, cols, 4)
             np.testing.assert_allclose(out.data, expect, atol=1e-12)
         assert np.abs(x.data).max() > 30
@@ -387,7 +388,7 @@ class TestLstmScan:
         target = rng.normal(size=(sum(lengths), 3))
 
         def loss_fn(return_tensor=False):
-            h = ad.lstm_scan(x, w_h, lengths)
+            h = ad.lstm_scan(x, np.arange(9), w_h, lengths)
             t = scalar_loss(ad.mul(h, Tensor(target)))
             return t if return_tensor else t.item()
 
@@ -396,7 +397,114 @@ class TestLstmScan:
     def test_shape_check(self, rng):
         x, _ = self.inputs(rng, [2])
         with pytest.raises(ShapeMismatchError):
-            ad.lstm_scan(x, Tensor(np.zeros((3, 8))), [2])
+            ad.lstm_scan(x, np.arange(2), Tensor(np.zeros((3, 8))), [2])
+
+
+class TestTableIds:
+    """Both scans read cell s's inputs from row ids[s] of a P-row table.
+    With repeated ids (P < S) they equal the scans of the gathered per-cell
+    inputs, and backward sums the cells' gradients onto the table rows."""
+
+    LENGTHS = [5, 2, 0, 4]
+    P = 5
+
+    def ids(self, rng):
+        # 11 cells on rows 0-3 of the table: repeats, and row 4 unused
+        return rng.integers(0, self.P - 1, size=sum(self.LENGTHS))
+
+    def memory_inputs(self, rng):
+        return TestMemoryScan().inputs(rng, [self.P])
+
+    def lstm_inputs(self, rng):
+        return TestLstmScan().inputs(rng, [self.P])
+
+    def test_memory_scan_matches_cell_loop_on_gathered_inputs(self, rng):
+        mem0, w, e, a = self.memory_inputs(rng)
+        ids = self.ids(rng)
+        rows, cols = ragged_cells(self.LENGTHS, 6)
+        out = ad.memory_scan(mem0, w, e, a, ids, self.LENGTHS)
+        expect = memory_scan_loop(mem0.data, w.data[ids], e.data[ids],
+                                  a.data[ids], rows, cols, 4)
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
+    def test_lstm_scan_matches_cell_loop_on_gathered_inputs(self, rng):
+        x, w_h = self.lstm_inputs(rng)
+        ids = self.ids(rng)
+        rows, cols = ragged_cells(self.LENGTHS, 6)
+        out = ad.lstm_scan(x, ids, w_h, self.LENGTHS)
+        expect = lstm_scan_loop(x.data[ids], w_h.data, rows, cols, 4)
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
+    def scan_grads(self, scan, params, tables, ids, gathered, target):
+        """Every parameter's gradient of a loss on the scan's output; with
+        ``gathered`` the tables go through gather_rows to per-cell inputs."""
+        for t in params:
+            t.zero_grad()
+        if gathered:
+            tables = [ad.gather_rows(t, ids + 1) for t in tables]
+            ids = np.arange(len(ids))
+        backward(scalar_loss(ad.mul(scan(tables, ids), Tensor(target))))
+        return [t.grad.copy() for t in params]
+
+    def test_table_gradients_equal_gather_rows_of_cell_gradients(self, rng):
+        ids = self.ids(rng)
+        mem0, w, e, a = self.memory_inputs(rng)
+        x, w_h = self.lstm_inputs(rng)
+        cases = [(lambda t, i: ad.memory_scan(mem0, *t, i, self.LENGTHS),
+                  [w, e, a], [mem0], 4),
+                 (lambda t, i: ad.lstm_scan(t[0], i, w_h, self.LENGTHS),
+                  [x], [w_h], 3)]
+        for scan, tables, others, out_cols in cases:
+            params = tables + others
+            target = rng.normal(size=(len(ids), out_cols))
+            direct = self.scan_grads(scan, params, tables, ids, False, target)
+            via_gather = self.scan_grads(scan, params, tables, ids, True, target)
+            for g_direct, g_gather in zip(direct, via_gather):
+                np.testing.assert_array_equal(g_direct, g_gather)
+            for g in direct[:len(tables)]:
+                np.testing.assert_array_equal(g[self.P - 1], 0.0)
+
+    def test_table_gradients_vs_finite_differences(self, rng):
+        ids = self.ids(rng)
+        mem0, w, e, a = self.memory_inputs(rng)
+        x, w_h = self.lstm_inputs(rng)
+        target_m = rng.normal(size=(len(ids), 4))
+        target_h = rng.normal(size=(len(ids), 3))
+
+        def memory_loss(return_tensor=False):
+            r = ad.memory_scan(mem0, w, e, a, ids, self.LENGTHS)
+            t = scalar_loss(ad.tanh(ad.mul(r, Tensor(target_m))))
+            return t if return_tensor else t.item()
+
+        def lstm_loss(return_tensor=False):
+            h = ad.lstm_scan(x, ids, w_h, self.LENGTHS)
+            t = scalar_loss(ad.mul(h, Tensor(target_h)))
+            return t if return_tensor else t.item()
+
+        check_gradients(memory_loss, [w, e, a], rng, n_samples=30, rtol=1e-6)
+        check_gradients(lstm_loss, [x], rng, n_samples=30, rtol=1e-6)
+
+    def test_no_grad_equals_grad_version_exactly(self, rng):
+        ids = self.ids(rng)
+        mem0, w, e, a = self.memory_inputs(rng)
+        x, w_h = self.lstm_inputs(rng)
+        for scan in (lambda: ad.memory_scan(mem0, w, e, a, ids, self.LENGTHS),
+                     lambda: ad.lstm_scan(x, ids, w_h, self.LENGTHS)):
+            with_grad = scan()
+            with ad.no_grad():
+                without = scan()
+            np.testing.assert_array_equal(without.data, with_grad.data)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_rejects_ids_outside_the_table(self, rng, bad):
+        ids = self.ids(rng)
+        ids[3] = bad
+        mem0, w, e, a = self.memory_inputs(rng)
+        x, w_h = self.lstm_inputs(rng)
+        with pytest.raises(ad.IndexOutOfRangeError, match=f"scan id {bad} "):
+            ad.memory_scan(mem0, w, e, a, ids, self.LENGTHS)
+        with pytest.raises(ad.IndexOutOfRangeError, match=f"scan id {bad} "):
+            ad.lstm_scan(x, ids, w_h, self.LENGTHS)
 
 
 class TestNoGrad:
@@ -407,18 +515,20 @@ class TestNoGrad:
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_memory_scan_equals_grad_version_exactly(self, rng, lengths):
         mem0, w, e, a = TestMemoryScan().inputs(rng, lengths)
-        with_grad = ad.memory_scan(mem0, w, e, a, lengths)
+        ids = np.arange(sum(lengths))
+        with_grad = ad.memory_scan(mem0, w, e, a, ids, lengths)
         with ad.no_grad():
-            without = ad.memory_scan(mem0, w, e, a, lengths)
+            without = ad.memory_scan(mem0, w, e, a, ids, lengths)
         assert with_grad._parents and not without._parents
         np.testing.assert_array_equal(without.data, with_grad.data)
 
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_lstm_scan_equals_grad_version_exactly(self, rng, lengths):
         x, w_h = TestLstmScan().inputs(rng, lengths)
-        with_grad = ad.lstm_scan(x, w_h, lengths)
+        ids = np.arange(sum(lengths))
+        with_grad = ad.lstm_scan(x, ids, w_h, lengths)
         with ad.no_grad():
-            without = ad.lstm_scan(x, w_h, lengths)
+            without = ad.lstm_scan(x, ids, w_h, lengths)
         assert with_grad._parents and not without._parents
         np.testing.assert_array_equal(without.data, with_grad.data)
 
@@ -438,24 +548,26 @@ class TestNoGrad:
                 tracemalloc.stop()
 
         time_order = peak_bytes(lambda: ad._time_blocks([L] * B, S))
-        scans = [(ad.memory_scan, TestMemoryScan().inputs(rng, [L] * B, N, d),
-                  d, B * N * d),
-                 (ad.lstm_scan, TestLstmScan().inputs(rng, [L] * B, hs),
-                  hs, B * 4 * hs)]
+        ids, lengths = np.arange(S), [L] * B
+        mem0, w, e, a = TestMemoryScan().inputs(rng, lengths, N, d)
+        x, w_h = TestLstmScan().inputs(rng, lengths, hs)
+        scans = [(lambda: ad.memory_scan(mem0, w, e, a, ids, lengths),
+                  (w, e, a), d, B * N * d),
+                 (lambda: ad.lstm_scan(x, ids, w_h, lengths), (x,), hs, B * 4 * hs)]
         for scan, inputs, out_cols, block_size in scans:
             with ad.no_grad():
-                peak = peak_bytes(lambda: scan(*inputs, [L] * B))
+                peak = peak_bytes(scan)
             out_bytes = S * out_cols * 8
             bound = out_bytes + time_order + 8 * block_size * 8
-            smallest_input = min(t.data.nbytes for t in inputs if t.rows == S)
+            smallest_input = min(t.data.nbytes for t in inputs)
             assert bound < out_bytes + smallest_input
-            assert peak < bound, (scan.__name__, peak, bound)
+            assert peak < bound, (out_cols, peak, bound)
 
     def test_outputs_are_leaves(self, rng):
         x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         with ad.no_grad():
             outs = [ad.sigmoid(x @ x.T), ad.sum_all(x), ad.tile_rows(x, 2),
-                    ad.lstm_scan(Tensor(rng.normal(size=(2, 8))),
+                    ad.lstm_scan(Tensor(rng.normal(size=(2, 8))), np.arange(2),
                                  Tensor(rng.normal(size=(2, 8)), requires_grad=True),
                                  [2])]
         for out in outs:

@@ -173,6 +173,21 @@ class TestFlattenSteps:
         _, q, a = datasets.flatten_steps([make_seq(0, [(1, 0), step])])
         np.testing.assert_array_equal(np.c_[q, a], [(1, 0), step])
 
+    def test_bare_ids_instead_of_pairs_named(self):
+        seqs = [make_seq("ok", [(1, 0)]), InteractionSequence("s1", [1, 2, 3])]
+        with pytest.raises(ValidationError, match="sequence 's1': step 1 is not a"):
+            datasets.flatten_steps(seqs)
+        with pytest.raises(ValidationError, match="'s1'"):
+            pad_and_mask(seqs, 4, 4)
+
+    @pytest.mark.parametrize("steps", [[(1, 0), (2, 1, 0)], [(2,)]])
+    def test_step_of_other_size_named(self, steps):
+        seqs = [make_seq("ok", [(1, 0)]), make_seq("s2", steps)]
+        with pytest.raises(ValidationError, match="sequence 's2': step .* not a"):
+            datasets.flatten_steps(seqs)
+        with pytest.raises(ValidationError, match="'s2'"):
+            pad_and_mask(seqs, 4, 4)
+
 
 class TestSplits:
     def ds(self, n, Q=5):

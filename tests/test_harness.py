@@ -336,6 +336,17 @@ class TestExports:
         assert sorted(diff) == [1, 2, 3, 4]
         assert all(-1 < v < 1 for v in diff.values())
 
+    def test_difficulties_equal_forward_beta_at_each_scored_cell(self, rng):
+        params, ds = self.trained(rng)
+        batch = pad_and_mask(ds.sequences, 8, ds.num_kcs)
+        out = models.forward(params, batch)
+        diff = deep_irt_difficulties(params)
+        scored = batch.mask == 1
+        # one helper computes both; the table's row count may only move rounding
+        np.testing.assert_allclose(out.beta[scored],
+                                   [diff[q] for q in batch.q_ids[scored]],
+                                   rtol=0, atol=1e-15)
+
     def test_difficulty_requires_deep_irt(self, rng):
         cfg = tiny_config(model="dkvmn", epochs=0)
         params, _ = train(cfg, tiny_dataset(rng))

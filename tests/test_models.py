@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -558,6 +558,57 @@ class TestFusedMatchesOracle:
             np.testing.assert_array_equal(out.theta[off], 0.0)
             np.testing.assert_array_equal(out.beta[off], 0.0)
             np.testing.assert_array_equal(out.attention[off], 0.25)
+
+
+class TestItemBankInvariance:
+    """Questions no cell of a batch uses change nothing: the batch run
+    against a bank padded with unused questions gives bit-identical outputs,
+    the same gradients on the used rows and zero gradients on the others."""
+
+    Q, EXTRA = 6, 37
+
+    def place(self, name):
+        """Where a Q-question array sits inside its padded counterpart: the
+        new questions follow the old ones in each answer block."""
+        Q, E = self.Q, self.EXTRA
+        old = np.arange(Q)
+        both_answers = np.r_[old, old + Q + E]   # interaction ids q + a * Q
+        rows = {"A": old, "B": both_answers, "W_x": both_answers}
+        if name in rows:
+            return rows[name], slice(None)
+        if name in ("W_y", "b_y"):
+            return slice(None), old
+        return slice(None), slice(None)
+
+    def run(self, params, steps, num_kcs):
+        for t in params.parameters():
+            t.zero_grad()
+        batch = make_batch(steps, 7, num_kcs)
+        out = forward(params, batch)
+        loss = sequence_loss(out, batch)
+        ad.backward(loss)
+        return out, loss.item(), dict(params.named_parameters())
+
+    @pytest.mark.parametrize("model", ["dkvmn", "deep_irt", "dkt"])
+    def test_unused_questions_change_nothing(self, rng, model):
+        small = init_params(TestFusedMatchesOracle.ARCHS[model], std=0.4, seed=1)
+        big = init_params(replace(small.arch, num_kcs=self.Q + self.EXTRA),
+                          std=0.4, seed=2)
+        for name, t in small.named_parameters():
+            getattr(big, name).data[self.place(name)] = t.data
+        steps = [random_steps(rng, n, self.Q) for n in (7, 3, 5, 1)]
+        out_s, loss_s, grads_s = self.run(small, steps, self.Q)
+        out_b, loss_b, grads_b = self.run(big, steps, self.Q + self.EXTRA)
+        assert loss_b == loss_s
+        for name in ("p", "theta", "beta", "attention"):
+            np.testing.assert_array_equal(getattr(out_b, name),
+                                          getattr(out_s, name), err_msg=name)
+        for name, t in grads_s.items():
+            g = grads_b[name].grad
+            np.testing.assert_array_equal(g[self.place(name)], t.grad, err_msg=name)
+            unused = np.ones(g.shape, dtype=bool)
+            unused[self.place(name)] = False
+            np.testing.assert_array_equal(g[unused], 0.0, err_msg=name)
 
 
 class TestNoGradForward:
