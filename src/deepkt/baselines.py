@@ -144,6 +144,7 @@ class PfaCoeffs:
     rho: dict
     beta: dict
     converged: bool = True
+    grad_norm: float = 0.0
 
 
 @dataclass
@@ -152,6 +153,7 @@ class LfaCoeffs:
     gamma: dict
     beta: dict
     converged: bool = True
+    grad_norm: float = 0.0
 
 
 def _block_newton(rows, skill, shared_x, n, y, l2, max_iters, tol):
@@ -196,7 +198,7 @@ def _block_newton(rows, skill, shared_x, n, y, l2, max_iters, tol):
         warnings.warn(f"logistic fit stopped at gradient norm {grad_norm:.3g}")
     if max(np.abs(w).max(initial=0.0), abs(shared)) > 10.0:
         warnings.warn("possible perfect separation: a coefficient exceeded 10")
-    return w, shared, converged
+    return w, shared, converged, grad_norm
 
 
 def fit_logistic(features: PfaFeatures, design: str = "PFA",
@@ -234,12 +236,13 @@ def fit_logistic(features: PfaFeatures, design: str = "PFA",
     y = np.bincount(cell, features.label, len(n))
     rows = np.stack([c[member] for c in cols] + [-np.ones(len(n))], axis=1)
     shared_x = np.full(len(n), float(design == "LFA"))   # theta's feature
-    w, theta, converged = _block_newton(rows, skill[member], shared_x, n, y,
-                                        l2, max_iters, tol)
+    w, theta, converged, grad_norm = _block_newton(rows, skill[member], shared_x,
+                                                   n, y, l2, max_iters, tol)
     coeffs = [dict(zip(skills.tolist(), col)) for col in w.T.tolist()]
     if design == "LFA":
-        return LfaCoeffs(float(theta), *coeffs, converged=converged)
-    return PfaCoeffs(*coeffs, converged=converged)
+        return LfaCoeffs(float(theta), *coeffs, converged=converged,
+                         grad_norm=grad_norm)
+    return PfaCoeffs(*coeffs, converged=converged, grad_norm=grad_norm)
 
 
 def _score_skills(z, skill, fitted: dict, model: str):

@@ -102,7 +102,7 @@ def train(config: TrainConfig, dataset: Dataset, check_clip=None):
             seqs = [dataset.sequences[order[i]] for i in idx]
             batch = pad_and_mask(seqs, config.seq_len, dataset.num_kcs)
             out = models.forward(params, batch)
-            loss = models.sequence_loss(out, batch)
+            loss = models.sequence_loss(out)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(
@@ -118,7 +118,7 @@ def train(config: TrainConfig, dataset: Dataset, check_clip=None):
                 check_clip(float(np.sqrt(sum((g * g).sum() for g in grads))))
             adam_step(params.parameters(), state, config.lr)
             total += value
-            steps += int(out.pred_mask.sum())
+            steps += len(out.labels)
         log.append(total / steps if steps else 0.0)
     return params, log
 
@@ -280,10 +280,11 @@ def export_trajectory(params: models.DkvmnParams, seq) -> list:
     batch = pad_and_mask([seq], max(len(seq.steps), 1), params.arch.num_kcs)
     with no_grad():
         out = models.forward_sequence(params, batch)
+    # one row scores every step, so cell t is step t
     rows = []
     for t, (q, a) in enumerate(seq.steps):
         rows.append({"t": t + 1, "q": q, "a": a,
-                     "theta": float(out.theta[0, t]),
-                     "beta": float(out.beta[0, t]),
-                     "p": float(out.p[0, t])})
+                     "theta": float(out.theta[t]),
+                     "beta": float(out.beta[t]),
+                     "p": float(out.prob_tensor.data[t, 0])})
     return rows

@@ -114,32 +114,28 @@ def init_params(arch, std: float = 0.05, seed: int = 0):
 
 @dataclass
 class StepOutputs:
-    """Model outputs for the scored cells of a padded batch.
-
-    ``prob_tensor`` and ``cells`` cover the scored cells only, batch row by
-    batch row; the B x L grids hold neutral values off ``pred_mask``
-    (p = 0.5, theta = beta = 0, uniform attention).
+    """Model outputs for the S scored cells of a padded batch, one row per
+    cell in the order of ``np.nonzero(pred_mask)`` (batch row by batch row).
     """
     prob_tensor: Tensor            # S x 1, still attached to the graph
-    cells: tuple                   # (rows, steps) of the S scored cells
     pred_mask: np.ndarray          # B x L, 1 where a prediction is scored
-    answers: np.ndarray            # B x L labels aligned with pred_mask
-    p: np.ndarray                  # B x L detached probabilities
-    theta: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    attention: np.ndarray | None = None
+    labels: np.ndarray             # S answer bits
+    theta: np.ndarray | None = None      # S abilities (Deep-IRT)
+    beta: np.ndarray | None = None       # S difficulties (Deep-IRT)
+    attention: np.ndarray | None = None  # S x N key attention (memory models)
+
+    @property
+    def p(self) -> np.ndarray:
+        """The probabilities placed on the B x L grid, 0.5 off ``pred_mask``."""
+        grid = np.full(self.pred_mask.shape, 0.5)
+        grid[self.pred_mask == 1] = self.prob_tensor.data[:, 0]
+        return grid
 
 
 def _check_ids(batch: PaddedBatch, num_kcs: int) -> None:
     if batch.q_ids.max() > num_kcs:
         raise ad.IndexOutOfRangeError(
             f"question id {int(batch.q_ids.max())} exceeds num_kcs={num_kcs}")
-
-
-def _grid(cells, values, shape, fill):
-    out = np.full(shape, fill)
-    out[cells] = values
-    return out
 
 
 def difficulty(params: DkvmnParams, keys: Tensor) -> Tensor:
@@ -161,7 +157,6 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     """
     arch = params.arch
     _check_ids(batch, arch.num_kcs)
-    B, L = batch.q_ids.shape
     d = arch.state_dim
     cells = np.nonzero(batch.mask)
     # the scored interactions, each cell's row among them (0-based), and the
@@ -183,18 +178,12 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
         th = ad.tanh(f @ params.W_theta + params.b_theta)
         be = ad.gather_rows(difficulty(params, k), ids + 1)
         prob = ad.sigmoid(ad.scale(th, ABILITY_SCALE) - be)
-        theta = _grid(cells, th.data[:, 0], (B, L), 0.0)
-        beta = _grid(cells, be.data[:, 0], (B, L), 0.0)
+        theta, beta = th.data[:, 0], be.data[:, 0]
     else:
         prob = ad.sigmoid(f @ params.W_p + params.b_p)
-    n_slots = arch.mem_slots
-    return StepOutputs(prob_tensor=prob, cells=cells,
-                       pred_mask=batch.mask.copy(),
-                       answers=batch.answers.copy(),
-                       p=_grid(cells, prob.data[:, 0], (B, L), 0.5),
-                       theta=theta, beta=beta,
-                       attention=_grid(cells, w.data[ids], (B, L, n_slots),
-                                       1.0 / n_slots))
+    return StepOutputs(prob_tensor=prob, pred_mask=batch.mask.copy(),
+                       labels=batch.answers[cells], theta=theta, beta=beta,
+                       attention=w.data[ids])
 
 
 def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
@@ -206,7 +195,6 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
     """
     arch = params.arch
     _check_ids(batch, arch.num_kcs)
-    B, L = batch.q_ids.shape
     pred_mask = batch.mask.copy()
     pred_mask[:, 0] = 0
     cells = np.nonzero(pred_mask)
@@ -221,9 +209,8 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
         @ ad.constant(np.ones((arch.hidden, 1))) \
         + ad.gather_rows(params.b_y.T, q)
     prob = ad.sigmoid(logit)
-    return StepOutputs(prob_tensor=prob, cells=cells, pred_mask=pred_mask,
-                       answers=batch.answers.copy(),
-                       p=_grid(cells, prob.data[:, 0], (B, L), 0.5))
+    return StepOutputs(prob_tensor=prob, pred_mask=pred_mask,
+                       labels=batch.answers[cells])
 
 
 def forward(params, batch: PaddedBatch) -> StepOutputs:
@@ -234,16 +221,16 @@ def forward(params, batch: PaddedBatch) -> StepOutputs:
     raise TypeError(f"unknown params {type(params).__name__}")
 
 
-def sequence_loss(outputs: StepOutputs, batch: PaddedBatch) -> Tensor:
+def sequence_loss(outputs: StepOutputs) -> Tensor:
     """Summed cross-entropy over the scored cells (1 x 1 tensor)."""
-    labels = outputs.answers[outputs.cells].reshape(-1, 1)
+    labels = outputs.labels.reshape(-1, 1)
     return ad.binary_cross_entropy(outputs.prob_tensor, labels,
                                    np.ones_like(labels), eps=PROB_EPS)
 
 
 def prediction_set(outputs: StepOutputs):
     """Flatten (scores, labels) over the scored steps, batch row by row."""
-    return outputs.prob_tensor.data[:, 0].copy(), outputs.answers[outputs.cells]
+    return outputs.prob_tensor.data[:, 0].copy(), outputs.labels
 
 
 # ---------------------------------------------------------------------------

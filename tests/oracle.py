@@ -200,12 +200,12 @@ def fit_logistic_dense(features, design, l2=baselines.L2_PENALTY,
             alpha={j: float(w[3 * idx[j]]) for j in skills},
             rho={j: float(w[3 * idx[j] + 1]) for j in skills},
             beta={j: float(w[3 * idx[j] + 2]) for j in skills},
-            converged=converged)
+            converged=converged, grad_norm=grad_norm)
     return baselines.LfaCoeffs(
         theta=float(w[0]),
         gamma={j: float(w[1 + 2 * idx[j]]) for j in skills},
         beta={j: float(w[2 + 2 * idx[j]]) for j in skills},
-        converged=converged)
+        converged=converged, grad_norm=grad_norm)
 
 
 def build_pfa_features_loop(seqs):

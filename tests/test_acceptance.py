@@ -67,7 +67,7 @@ class TestCriterion1GradientFidelity:
     def check(self, params, batch, rng):
         def loss_fn(return_tensor=False):
             out = models.forward(params, batch)
-            loss = models.sequence_loss(out, batch)
+            loss = models.sequence_loss(out)
             return loss if return_tensor else loss.item()
         check_gradients(loss_fn, params.parameters(), rng,
                         n_samples=30, h=1e-5, rtol=1e-4)
@@ -162,7 +162,7 @@ class TestCriterion6MaskingInvariance:
         for p in params.parameters():
             p.zero_grad()
         out = models.forward(params, batch)
-        loss = models.sequence_loss(out, batch)
+        loss = models.sequence_loss(out)
         ad.backward(loss)
         pred = PredictionSet(*models.prediction_set(out))
         return (loss.item(), auc(pred), metrics.accuracy(pred),
@@ -208,12 +208,14 @@ class TestCriterion7InterpretabilityRanges:
             batch = pad_and_mask(seqs[start:start + 100], cfg.seq_len,
                                  test_ds.num_kcs)
             out = models.forward_sequence(params, batch)
-            scored = batch.mask == 1
-            assert np.all(np.abs(out.theta[scored]) < 1.0)
-            assert np.all(np.abs(out.beta[scored]) < 1.0)
-            assert np.all((out.p[scored] > 0.0) & (out.p[scored] < 1.0))
-            sums = out.attention.sum(axis=2)
-            assert np.all(np.abs(sums[scored] - 1.0) <= 1e-9)
+            # one value per scored cell
+            p = out.prob_tensor.data[:, 0]
+            assert len(p) == batch.mask.sum()
+            assert np.all(np.abs(out.theta) < 1.0)
+            assert np.all(np.abs(out.beta) < 1.0)
+            assert np.all((p > 0.0) & (p < 1.0))
+            sums = out.attention.sum(axis=1)
+            assert np.all(np.abs(sums - 1.0) <= 1e-9)
 
 
 class TestCriterion8Determinism:

@@ -232,6 +232,15 @@ class TestFitLogistic:
         with pytest.raises(ValidationError):
             fit_logistic(feats, design="AFM")
 
+    @pytest.mark.parametrize("design", ["PFA", "LFA"])
+    def test_reports_gradient_norm(self, rng, design):
+        feats = build_pfa_features(random_seqs(rng, 60, 4, 20))
+        fit = fit_logistic(feats, design=design)
+        assert fit.converged and fit.grad_norm < baselines.GRAD_TOL
+        with pytest.warns(UserWarning, match="gradient norm"):
+            stopped = fit_logistic(feats, design=design, max_iters=1)
+        assert not stopped.converged and stopped.grad_norm >= baselines.GRAD_TOL
+
     def test_separation_warning(self):
         seqs = [seq(i, [(1, 1)]) for i in range(50)]
         with pytest.warns(UserWarning, match="separation"):

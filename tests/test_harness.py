@@ -157,6 +157,14 @@ class TestTrain:
             np.testing.assert_array_equal(p.data, before)
 
     def test_evaluate_batch_size_irrelevant(self, rng):
+        # Batch mates move a score by rounding only, so equality is to 1e-12,
+        # not exact.  OpenBLAS rounds a row of a matrix product differently
+        # depending on how many rows the product has: the item tables' products
+        # (their row count is the batch's distinct interactions) in the memory
+        # models, and h @ W_h over the live rows in DKT's LSTM.  Computing
+        # those products one row at a time made eval_batch 1 and 200
+        # bit-identical, but made evaluate 2-3x slower, so it is not done.
+        # Reports always evaluate with one eval_batch, so they stay exact.
         ds = tiny_dataset(rng)
         cfg = tiny_config(epochs=1)
         params, _ = train(cfg, ds)
@@ -343,7 +351,7 @@ class TestExports:
         diff = deep_irt_difficulties(params)
         scored = batch.mask == 1
         # one helper computes both; the table's row count may only move rounding
-        np.testing.assert_allclose(out.beta[scored],
+        np.testing.assert_allclose(out.beta,
                                    [diff[q] for q in batch.q_ids[scored]],
                                    rtol=0, atol=1e-15)
 
@@ -373,8 +381,8 @@ class TestExports:
         batch = pad_and_mask([seq], len(seq.steps), ds.num_kcs)
         out = models.forward_sequence(params, batch)
         for t, r in enumerate(rows):
-            assert r["p"] == pytest.approx(out.p[0, t], abs=1e-12)
-            assert r["theta"] == pytest.approx(out.theta[0, t], abs=1e-12)
+            assert r["p"] == pytest.approx(out.prob_tensor.data[t, 0], abs=1e-12)
+            assert r["theta"] == pytest.approx(out.theta[t], abs=1e-12)
             assert (r["q"], r["a"]) == seq.steps[t]
 
     def test_trajectory_requires_deep_irt(self, rng):

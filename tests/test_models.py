@@ -10,7 +10,8 @@ from conftest import check_gradients
 from deepkt import autodiff as ad
 from deepkt import harness, models
 from deepkt.autodiff import Tensor
-from deepkt.datasets import InteractionSequence, ValidationError, pad_and_mask
+from deepkt.datasets import (InteractionSequence, PaddedBatch, ValidationError,
+                             pad_and_mask)
 from deepkt.models import (DktArch, MemoryArch, forward, forward_dkt,
                            forward_sequence, init_params, load_checkpoint,
                            make_arch, param_shapes, prediction_set,
@@ -163,7 +164,7 @@ class TestForwardSequence:
         out = forward_sequence(params, batch)
         assert out.p.shape == (2, 6)
         assert np.all((out.p > 0) & (out.p < 1))
-        np.testing.assert_allclose(out.attention.sum(axis=2), np.ones((2, 6)),
+        np.testing.assert_allclose(out.attention.sum(axis=1), np.ones(9),
                                    atol=1e-9)
         if arch.deep_irt:
             assert np.all(np.abs(out.theta) < 1)
@@ -174,7 +175,7 @@ class TestForwardSequence:
         steps = random_steps(rng, 5, 4)
         out = forward_sequence(params, make_batch([steps, steps], 5, 4))
         np.testing.assert_array_equal(out.p[0], out.p[1])
-        np.testing.assert_array_equal(out.theta[0], out.theta[1])
+        np.testing.assert_array_equal(out.theta[:5], out.theta[5:])
 
     def test_batch_composition_irrelevant(self, rng):
         params = init_params(SMALL, seed=4)
@@ -244,7 +245,7 @@ class TestForwardDkt:
         params = init_params(DktArch(num_kcs=4, hidden=3), seed=1)
         batch = make_batch([[(1, 1)], [(3, 0)]], 1, 4)
         out = forward_dkt(params, batch)
-        loss = sequence_loss(out, batch)
+        loss = sequence_loss(out)
         ad.backward(loss)
         assert loss.item() == 0.0 and prediction_set(out)[0].size == 0
         for name, t in params.named_parameters():
@@ -301,7 +302,7 @@ class TestLoss:
             t.data[:] = 0.0
         batch = make_batch([random_steps(rng, 5, 4)], 5, 4)
         out = forward_dkt(params, batch)
-        loss = sequence_loss(out, batch)
+        loss = sequence_loss(out)
         assert loss.item() == pytest.approx(4 * math.log(2), abs=1e-12)
         n = int(out.pred_mask.sum())
         assert loss.item() / n == pytest.approx(math.log(2), abs=1e-12)
@@ -320,8 +321,8 @@ class TestLoss:
         steps = random_steps(rng, 3, 4)
         b_pad = make_batch([steps], 6, 4)
         b_exact = make_batch([steps], 3, 4)
-        l_pad = sequence_loss(forward_sequence(params, b_pad), b_pad)
-        l_exact = sequence_loss(forward_sequence(params, b_exact), b_exact)
+        l_pad = sequence_loss(forward_sequence(params, b_pad))
+        l_exact = sequence_loss(forward_sequence(params, b_exact))
         assert l_pad.item() == pytest.approx(l_exact.item(), abs=1e-12)
 
 
@@ -448,7 +449,7 @@ class TestModelGradients:
     def loss_fn_for(self, params, batch):
         def loss_fn(return_tensor=False):
             out = forward(params, batch)
-            loss = sequence_loss(out, batch)
+            loss = sequence_loss(out)
             return loss if return_tensor else loss.item()
         return loss_fn
 
@@ -479,7 +480,7 @@ class TestModelGradients:
         params = init_params(SMALL_IRT, std=0.3, seed=1)
         batch = make_batch([random_steps(rng, 2, 4)], 6, 4)
         out = forward_sequence(params, batch)
-        loss = sequence_loss(out, batch)
+        loss = sequence_loss(out)
         ad.backward(loss)
         grads = {n: t.grad.copy() for n, t in params.named_parameters()}
         for _, t in params.named_parameters():
@@ -489,7 +490,7 @@ class TestModelGradients:
         batch.qa_ids[pad] = 7
         batch.answers[pad] = 1
         out2 = forward_sequence(params, batch)
-        loss2 = sequence_loss(out2, batch)
+        loss2 = sequence_loss(out2)
         ad.backward(loss2)
         assert loss2.item() == loss.item()
         for n, t in params.named_parameters():
@@ -513,7 +514,7 @@ class TestFusedMatchesOracle:
             t.zero_grad()
         if fused:
             out = forward(params, batch)
-            loss = sequence_loss(out, batch)
+            loss = sequence_loss(out)
         else:
             out = oracle.forward(params, batch)
             loss = oracle.sequence_loss(out)
@@ -535,12 +536,12 @@ class TestFusedMatchesOracle:
         assert loss_f == pytest.approx(loss_o, abs=1e-12)
         np.testing.assert_allclose(fused.p[scored], slow.p[scored], atol=1e-12)
         if model != "dkt":
-            np.testing.assert_allclose(fused.attention[scored],
+            np.testing.assert_allclose(fused.attention,
                                        slow.attention[scored], atol=1e-12)
         if model == "deep_irt":
-            np.testing.assert_allclose(fused.theta[scored], slow.theta[scored],
+            np.testing.assert_allclose(fused.theta, slow.theta[scored],
                                        atol=1e-12)
-            np.testing.assert_allclose(fused.beta[scored], slow.beta[scored],
+            np.testing.assert_allclose(fused.beta, slow.beta[scored],
                                        atol=1e-12)
         for name in grads_o:
             np.testing.assert_allclose(grads_f[name], grads_o[name], atol=1e-12,
@@ -554,10 +555,37 @@ class TestFusedMatchesOracle:
         off = out.pred_mask == 0
         assert off.sum() == (6 if model == "dkt" else 4)
         np.testing.assert_array_equal(out.p[off], 0.5)
+
+
+class TestPerCellOutputs:
+    """Outputs hold one row per scored cell, in the order of
+    ``np.nonzero(pred_mask)``; ``p`` is the one B x L view."""
+
+    @pytest.mark.parametrize("model", ["dkvmn", "deep_irt", "dkt"])
+    def test_fields_follow_the_scored_cells(self, rng, model):
+        params = init_params(TestFusedMatchesOracle.ARCHS[model], std=0.4, seed=3)
+        batch = make_batch([random_steps(rng, n, 6) for n in (7, 1, 4)], 7, 6)
+        # an all-padding row scores nothing in any model
+        batch = PaddedBatch(*(np.insert(g, 2, 0, axis=0) for g in (
+            batch.q_ids, batch.qa_ids, batch.answers, batch.mask)))
+        out = forward(params, batch)
+        expect_mask = batch.mask.copy()
+        if model == "dkt":
+            expect_mask[:, 0] = 0   # the first step has no history to score
+        np.testing.assert_array_equal(out.pred_mask, expect_mask)
+        scored = out.pred_mask == 1
+        n = int(scored.sum())
+        assert out.prob_tensor.data.shape == (n, 1)
+        np.testing.assert_array_equal(out.p[scored], out.prob_tensor.data[:, 0])
+        np.testing.assert_array_equal(out.p[~scored], 0.5)
+        np.testing.assert_array_equal(out.labels, batch.answers[scored])
+        assert (out.theta is None) == (out.beta is None) == (model != "deep_irt")
         if model == "deep_irt":
-            np.testing.assert_array_equal(out.theta[off], 0.0)
-            np.testing.assert_array_equal(out.beta[off], 0.0)
-            np.testing.assert_array_equal(out.attention[off], 0.25)
+            assert out.theta.shape == out.beta.shape == (n,)
+        if model == "dkt":
+            assert out.attention is None
+        else:
+            assert out.attention.shape == (n, params.arch.mem_slots)
 
 
 class TestItemBankInvariance:
@@ -585,7 +613,7 @@ class TestItemBankInvariance:
             t.zero_grad()
         batch = make_batch(steps, 7, num_kcs)
         out = forward(params, batch)
-        loss = sequence_loss(out, batch)
+        loss = sequence_loss(out)
         ad.backward(loss)
         return out, loss.item(), dict(params.named_parameters())
 
@@ -600,7 +628,7 @@ class TestItemBankInvariance:
         out_s, loss_s, grads_s = self.run(small, steps, self.Q)
         out_b, loss_b, grads_b = self.run(big, steps, self.Q + self.EXTRA)
         assert loss_b == loss_s
-        for name in ("p", "theta", "beta", "attention"):
+        for name in ("p", "labels", "theta", "beta", "attention"):
             np.testing.assert_array_equal(getattr(out_b, name),
                                           getattr(out_s, name), err_msg=name)
         for name, t in grads_s.items():
@@ -632,7 +660,7 @@ class TestNoGradForward:
         assert prob._parents == () and prob._backward is None
         np.testing.assert_array_equal(without.prob_tensor.data,
                                       with_grad.prob_tensor.data)
-        for name in ("p", "theta", "beta", "attention", "pred_mask"):
+        for name in ("p", "labels", "theta", "beta", "attention", "pred_mask"):
             np.testing.assert_array_equal(getattr(without, name),
                                           getattr(with_grad, name),
                                           err_msg=name)
