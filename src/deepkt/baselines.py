@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _sigmoid
-from .datasets import ValidationError, flatten_steps
+from .datasets import NOT_A_BIT, ValidationError, flatten_steps
 
 L2_PENALTY = 1e-4
 MAX_ITERS = 500
@@ -112,8 +112,7 @@ class PfaFeatures:
 def build_pfa_features(seqs) -> PfaFeatures:
     """Each step's skill, answer and prior successes and failures on that skill
     by the same student, in step order."""
-    lengths, q, a = flatten_steps(seqs)
-    skill = q.astype(np.int64, copy=False)
+    lengths, skill, a = flatten_steps(seqs)
     n = len(skill)
     # the flat steps run sequence by sequence, so a stable sort by skill alone
     # keeps each (sequence, skill) group together and in step order; the
@@ -135,7 +134,7 @@ def build_pfa_features(seqs) -> PfaFeatures:
     successes[order] = wins
     failures[order] = pos - first - wins
     return PfaFeatures(skill=skill, successes=successes, failures=failures,
-                       label=a.astype(np.int64, copy=False))
+                       label=a)
 
 
 @dataclass
@@ -277,6 +276,8 @@ def first_attempts(seqs):
     for seq in seqs:
         seen = set()
         for q, a in seq.steps:
+            if a not in (0, 1):
+                raise ValidationError(NOT_A_BIT.format(a))
             if q not in seen:
                 seen.add(q)
                 triples.append((seq.student_id, q, a))

@@ -12,6 +12,8 @@ import numpy as np
 
 from .autodiff import IndexOutOfRangeError
 
+NOT_A_BIT = "answer bit must be 0 or 1, got {}"
+
 
 class SequenceParseError(ValueError):
     """A sequence file violated the 3-line-per-student record format."""
@@ -43,9 +45,8 @@ class Dataset:
 
 @dataclass
 class PaddedBatch:
-    """B x L grids; id 0 marks padding, so the mask is derivable from q_ids."""
+    """B x L grids; ``mask`` marks the steps, and padding is 0 in every grid."""
     q_ids: np.ndarray
-    qa_ids: np.ndarray
     answers: np.ndarray
     mask: np.ndarray
 
@@ -82,20 +83,12 @@ class SyntheticGroundTruth:
 
 
 def encode_interaction(q, a, num_kcs: int):
-    """Combined interaction id: q + a * Q, in [1, 2Q]; q and a may be arrays."""
-    q, a = np.asarray(q), np.asarray(a)
-    non_finite = ~np.isfinite(q)   # inf % 1 is NaN, with a warning
-    if non_finite.any():
-        raise ValidationError(f"question id {q[non_finite][0]} is not finite")
-    fractional = q % 1 != 0
-    if fractional.any():
-        raise ValidationError(f"question id {q[fractional][0]} is not an integer")
-    bad_q = (q < 1) | (q > num_kcs)
-    if bad_q.any():
-        raise IndexOutOfRangeError(f"question id {q[bad_q][0]} outside [1, {num_kcs}]")
-    bad_a = (a != 0) & (a != 1)
-    if bad_a.any():
-        raise ValidationError(f"answer bit must be 0 or 1, got {a[bad_a][0]}")
+    """Combined interaction id: q + a * Q, in [1, 2Q], of integer question ids
+    and answer bits; q and a may be arrays."""
+    q = np.asarray(q)
+    bad = (q < 1) | (q > num_kcs)
+    if bad.any():
+        raise IndexOutOfRangeError(f"question id {q[bad][0]} outside [1, {num_kcs}]")
     return q + a * num_kcs
 
 
@@ -175,12 +168,12 @@ def _not_a_pair(seqs):
 
 
 def flatten_steps(seqs):
-    """(lengths, q, a): each sequence's length and the question and answer of
-    every step, in order.  The columns are int64 when every value is integral;
-    otherwise they stay float64, so that ``encode_interaction`` can name the
-    value (int64 would truncate it silently).  A step that is not a pair is
-    found by the value count, so steps of 3 and 1 values that make up two
-    whole pairs between them still pass."""
+    """(lengths, q, a) as int64 columns: each sequence's length and the
+    question and answer of every step, in order.  Every question id must be
+    a finite integer >= 1 and every answer a bit.  A step that is not a pair
+    is found by the value count, so steps of 3 and 1 values that make up two
+    whole pairs between them still pass if the values they shift into the
+    answer column are bits."""
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     try:
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(s.steps for s in seqs)),
@@ -192,10 +185,20 @@ def flatten_steps(seqs):
         raise error from None
     if flat.size != 2 * lengths.sum():
         raise _not_a_pair(seqs)
-    with np.errstate(invalid="ignore"):   # NaN and inf cast to garbage, kept below
-        whole = flat.astype(np.int64)
-    q, a = (whole if (whole == flat).all() else flat).reshape(-1, 2).T
-    return lengths, q, a
+    q, a = flat.reshape(-1, 2).T
+    with np.errstate(invalid="ignore"):   # NaN, inf and ids past int64 cast to garbage
+        whole = q.astype(np.int64)
+    for bad, values, error, message in (
+            (~np.isfinite(q), q, ValidationError, "question id {} is not finite"),
+            (whole != q, q, ValidationError, "question id {} is not an integer"),
+            (whole < 1, whole, IndexOutOfRangeError, "question id {} < 1")):
+        if bad.any():
+            raise error(message.format(values[bad][0]))
+    bad = (a != 0) & (a != 1)
+    if bad.any():   # 2.0 reads 2, as an int answer would
+        answer = np.format_float_positional(a[bad][0], trim="-")
+        raise ValidationError(NOT_A_BIT.format(answer))
+    return lengths, whole, a.astype(np.int64)
 
 
 def pad_and_mask(seqs, seq_len: int, num_kcs: int) -> PaddedBatch:
@@ -206,15 +209,17 @@ def pad_and_mask(seqs, seq_len: int, num_kcs: int) -> PaddedBatch:
     if seq_len < 1:
         raise ValidationError(f"seq_len must be >= 1, got {seq_len}")
     lengths, q, a = flatten_steps(seqs)
-    qa = encode_interaction(q, a, num_kcs)
+    high = q > num_kcs
+    if high.any():
+        raise IndexOutOfRangeError(f"question id {q[high][0]} outside [1, {num_kcs}]")
     # step t of a sequence lands in its (t // seq_len)-th chunk, column t % seq_len
     chunks = -(-lengths // seq_len)
     t = np.arange(len(q)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     row = np.repeat(np.cumsum(chunks) - chunks, lengths) + t // seq_len
     col = t % seq_len
     grids = {name: np.zeros((int(chunks.sum()), seq_len), dtype=np.int64)
-             for name in ("q_ids", "qa_ids", "answers", "mask")}
-    for grid, values in zip(grids.values(), (q, qa, a, 1)):
+             for name in ("q_ids", "answers", "mask")}
+    for grid, values in zip(grids.values(), (q, a, 1)):
         grid[row, col] = values
     return PaddedBatch(**grids)
 

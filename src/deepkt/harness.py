@@ -85,7 +85,7 @@ def _batches(n, batch_size):
         yield range(start, min(start + batch_size, n))
 
 
-def train(config: TrainConfig, dataset: Dataset, check_clip=None):
+def train(config: TrainConfig, dataset: Dataset):
     """Train one deep model; returns (params, per-epoch mean train loss)."""
     if not dataset.sequences:
         raise ValidationError("cannot train on an empty dataset")
@@ -114,8 +114,6 @@ def train(config: TrainConfig, dataset: Dataset, check_clip=None):
             except FloatingPointError as exc:
                 raise TrainingError(f"{exc} at epoch {epoch}, batch starting "
                                     f"{idx.start}") from None
-            if check_clip is not None:
-                check_clip(float(np.sqrt(sum((g * g).sum() for g in grads))))
             adam_step(params.parameters(), state, config.lr)
             total += value
             steps += len(out.labels)

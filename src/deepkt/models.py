@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datasets import PaddedBatch, ValidationError
+from .datasets import PaddedBatch, ValidationError, encode_interaction
 
 ABILITY_SCALE = 3.0  # ability head output is stretched before the IRT link
 PROB_EPS = 1e-7      # clamp for log-loss
@@ -132,12 +132,6 @@ class StepOutputs:
         return grid
 
 
-def _check_ids(batch: PaddedBatch, num_kcs: int) -> None:
-    if batch.q_ids.max() > num_kcs:
-        raise ad.IndexOutOfRangeError(
-            f"question id {int(batch.q_ids.max())} exceeds num_kcs={num_kcs}")
-
-
 def difficulty(params: DkvmnParams, keys: Tensor) -> Tensor:
     """Deep-IRT's item difficulty, tanh(k W_beta + b_beta), for each row k of
     ``keys`` (question embeddings, rows of A)."""
@@ -156,14 +150,13 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     before its own write, and unscored cells leave the memory alone.
     """
     arch = params.arch
-    _check_ids(batch, arch.num_kcs)
     d = arch.state_dim
     cells = np.nonzero(batch.mask)
-    # the scored interactions, each cell's row among them (0-based), and the
-    # question of each, read at its first cell
-    used, first, ids = np.unique(batch.qa_ids[cells], return_index=True,
-                                 return_inverse=True)
-    k = ad.gather_rows(params.A, batch.q_ids[cells[0][first], cells[1][first]])
+    # the scored interactions q + a * Q, each cell's row among them (0-based),
+    # and the question of each
+    used, ids = np.unique(encode_interaction(batch.q_ids[cells], batch.answers[cells],
+                                             arch.num_kcs), return_inverse=True)
+    k = ad.gather_rows(params.A, (used - 1) % arch.num_kcs + 1)
     w = ad.softmax_rows(k @ params.Mk.T)
     v = ad.gather_rows(params.B, used)
     erase = ad.sigmoid(v @ params.W_e + params.b_e)
@@ -194,14 +187,14 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
     only column q_t of the output layer.
     """
     arch = params.arch
-    _check_ids(batch, arch.num_kcs)
     pred_mask = batch.mask.copy()
     pred_mask[:, 0] = 0
-    cells = np.nonzero(pred_mask)
-    rows, steps = cells
+    rows, steps = cells = np.nonzero(pred_mask)
+    fed = rows, steps - 1
     # one-hot(qa) @ W_x + b_g is a row of W_x + b_g: build the rows of the
     # interactions the cells feed, and each cell reads its row
-    used, ids = np.unique(batch.qa_ids[rows, steps - 1], return_inverse=True)
+    used, ids = np.unique(encode_interaction(batch.q_ids[fed], batch.answers[fed],
+                                             arch.num_kcs), return_inverse=True)
     x = ad.gather_rows(params.W_x, used) + params.b_g
     h = ad.lstm_scan(x, ids, params.W_h, pred_mask.sum(axis=1))
     q = batch.q_ids[cells]

@@ -102,7 +102,8 @@ def forward_sequence(params: DkvmnParams, batch) -> OracleOutputs:
         attn_np[:, t, :] = w_raw.data
         p_cols.append(p_t)
 
-        v_t = ad.gather_rows(params.B, _clamp_pad(batch.qa_ids[:, t]))
+        qa_t = batch.q_ids[:, t] + batch.answers[:, t] * arch.num_kcs
+        v_t = ad.gather_rows(params.B, _clamp_pad(qa_t))
         mask_col = ad.constant(batch.mask[:, t:t + 1].astype(np.float64))
         value_memory = write(value_memory, ad.mul(w_raw, mask_col), v_t, params)
 
@@ -116,13 +117,15 @@ def forward_dkt(params: DktParams, batch) -> OracleOutputs:
     """LSTM over every step with the full B x Q output layer; step t's output
     scores question t+1, and h_0 = c_0 = 0."""
     h_size = params.arch.hidden
+    num_kcs = params.arch.num_kcs
     B, L = batch.q_ids.shape
     h = ad.constant(np.zeros((B, h_size)))
     c = ad.constant(np.zeros((B, h_size)))
 
     p_cols = [ad.constant(np.full((B, 1), 0.5))]  # step 1 has no history
     for t in range(L - 1):
-        gates = ad.gather_rows(params.W_x, _clamp_pad(batch.qa_ids[:, t])) \
+        qa_t = batch.q_ids[:, t] + batch.answers[:, t] * num_kcs
+        gates = ad.gather_rows(params.W_x, _clamp_pad(qa_t)) \
             + (h @ params.W_h) + params.b_g
         i_g = ad.sigmoid(ad.slice_cols(gates, 0, h_size))
         f_g = ad.sigmoid(ad.slice_cols(gates, h_size, 2 * h_size))
@@ -317,16 +320,15 @@ def tied_ranks_loop(values):
     return ranks
 
 
-def pad_and_mask_loop(seqs, seq_len, num_kcs):
+def pad_and_mask_loop(seqs, seq_len):
     """The B x L grids of ``datasets.pad_and_mask`` filled one step at a time."""
     rows = [seq.steps[start:start + seq_len]
             for seq in seqs for start in range(0, len(seq.steps), seq_len)]
     grids = {name: np.zeros((len(rows), seq_len), dtype=np.int64)
-             for name in ("q_ids", "qa_ids", "answers", "mask")}
+             for name in ("q_ids", "answers", "mask")}
     for b, chunk in enumerate(rows):
         for t, (q, a) in enumerate(chunk):
             grids["q_ids"][b, t] = q
-            grids["qa_ids"][b, t] = q + a * num_kcs
             grids["answers"][b, t] = a
             grids["mask"][b, t] = 1
     return grids

@@ -184,11 +184,9 @@ class TestCriterion6MaskingInvariance:
         base = random_batch(rng, 3, 6, 5)
         padded = random_batch(rng, 3, 6, 5, seq_len=6 + extra)
         padded.q_ids[:, :6] = base.q_ids
-        padded.qa_ids[:, :6] = base.qa_ids
         padded.answers[:, :6] = base.answers
         padded.mask[:, :6] = base.mask
         padded.q_ids[:, 6:] = 0
-        padded.qa_ids[:, 6:] = 0
         padded.answers[:, 6:] = 0
         padded.mask[:, 6:] = 0
 

@@ -449,6 +449,15 @@ class TestItemAnalysis:
         with pytest.raises(ValidationError):
             item_analysis([], min_students=0)
 
+    @pytest.mark.parametrize("steps", [[(1, 7)], [(1, 0), (1, 7)]])
+    def test_answer_not_a_bit_rejected(self, steps):
+        # a first or a repeated attempt alike
+        seqs = [seq(0, [(1, 1), (2, 0)]), seq(1, steps)]
+        with pytest.raises(ValidationError, match="answer bit must be 0 or 1, got 7"):
+            fit_irt(first_attempts(seqs))
+        with pytest.raises(ValidationError, match="answer bit must be 0 or 1, got 7"):
+            item_analysis(seqs, 1)
+
 
 class TestSyntheticRecovery:
     def test_irt_recovers_beta_without_guessing(self):

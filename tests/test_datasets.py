@@ -90,7 +90,7 @@ class TestPadAndMask:
         b = pad_and_mask([make_seq(0, [(1, 1), (2, 0), (3, 1)])], 5, 3)
         np.testing.assert_array_equal(b.mask, [[1, 1, 1, 0, 0]])
         np.testing.assert_array_equal(b.q_ids, [[1, 2, 3, 0, 0]])
-        np.testing.assert_array_equal(b.qa_ids, [[4, 2, 6, 0, 0]])
+        np.testing.assert_array_equal(b.answers, [[1, 0, 1, 0, 0]])
 
     def test_exact_length(self):
         b = pad_and_mask([make_seq(0, [(1, 0)] * 5)], 5, 1)
@@ -123,8 +123,8 @@ class TestPadAndMask:
                 for i, n in enumerate(rng.integers(0, 23, 9))]
         for seq_len in (1, 4, 7, 30):
             b = pad_and_mask(seqs, seq_len, 8)
-            want = oracle.pad_and_mask_loop(seqs, seq_len, 8)
-            for name in ("q_ids", "qa_ids", "answers", "mask"):
+            want = oracle.pad_and_mask_loop(seqs, seq_len)
+            for name in ("q_ids", "answers", "mask"):
                 np.testing.assert_array_equal(getattr(b, name), want[name])
                 assert getattr(b, name).dtype == np.int64
 
@@ -156,7 +156,7 @@ class TestPadAndMask:
     def test_integral_float_question_accepted(self):
         b = pad_and_mask([make_seq(0, [(2.0, 1)])], 4, 4)
         assert b.q_ids[0, 0] == 2
-        assert b.qa_ids[0, 0] == 6
+        assert b.answers[0, 0] == 1
 
 
 class TestFlattenSteps:
@@ -168,10 +168,28 @@ class TestFlattenSteps:
             np.testing.assert_array_equal(got, want)
         assert [len(c) for c in datasets.flatten_steps([])] == [0, 0, 0]
 
-    @pytest.mark.parametrize("step", [(1.5, 1), (2, 0.5), (float("nan"), 1)])
-    def test_non_integral_value_kept(self, step):
-        _, q, a = datasets.flatten_steps([make_seq(0, [(1, 0), step])])
-        np.testing.assert_array_equal(np.c_[q, a], [(1, 0), step])
+    @pytest.mark.parametrize("step,error,message", [
+        ((1.5, 1), ValidationError, r"question id 1\.5 is not an integer"),
+        ((1e20, 1), ValidationError, r"question id 1e\+20 is not an integer"),
+        ((float("nan"), 1), ValidationError, "question id nan is not finite"),
+        ((0, 1), IndexOutOfRangeError, "question id 0 < 1"),
+        ((2, 0.5), ValidationError, "answer bit must be 0 or 1, got 0.5"),
+        ((2, float("inf")), ValidationError, "answer bit must be 0 or 1, got inf"),
+    ], ids=["fraction", "huge", "nan", "zero", "half_answer", "inf_answer"])
+    def test_bad_value_rejected(self, step, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                datasets.flatten_steps([make_seq(0, [(1, 0), step])])
+
+    def test_shifted_pairs_caught_by_the_answer_check(self):
+        # a 3-tuple and a 1-tuple make up two whole pairs; here the shift puts
+        # a 2 in the answer column
+        with pytest.raises(ValidationError, match="answer bit must be 0 or 1, got 2"):
+            datasets.flatten_steps([make_seq(0, [(1, 2, 3), (1,)])])
+        # a shift that leaves bits in the answer column still passes
+        _, q, a = datasets.flatten_steps([make_seq(0, [(1, 0, 1), (1,)])])
+        np.testing.assert_array_equal(np.c_[q, a], [(1, 0), (1, 1)])
 
     def test_bare_ids_instead_of_pairs_named(self):
         seqs = [make_seq("ok", [(1, 0)]), InteractionSequence("s1", [1, 2, 3])]

@@ -9,6 +9,7 @@ import pytest
 
 import oracle
 from deepkt import baselines, harness, models
+from deepkt.autodiff import IndexOutOfRangeError
 from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
                              ValidationError, generate_synthetic, pad_and_mask)
 from deepkt.harness import (GridSpec, TrainConfig, TrainingError,
@@ -108,11 +109,20 @@ class TestTrain:
         assert log[-1] < log[0]
         assert log[-1] < math.log(2)
 
-    def test_clip_bounds_post_clip_norm(self, rng):
+    def test_clip_bounds_post_clip_norm(self, rng, monkeypatch):
         ds = tiny_dataset(rng)
         cfg = tiny_config(clip_norm=0.01)
         observed = []
-        train(cfg, ds, check_clip=observed.append)
+        real_step = harness.adam_step
+
+        def step(params, *args):
+            # the gradients Adam is about to apply, after clipping
+            grads = [p.grad for p in params if p.grad is not None]
+            observed.append(float(np.sqrt(sum((g * g).sum() for g in grads))))
+            real_step(params, *args)
+
+        monkeypatch.setattr(harness, "adam_step", step)
+        train(cfg, ds)
         assert observed
         assert max(observed) <= 0.01 + 1e-9
 
@@ -197,6 +207,30 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < bound < grad_peak
 
+    @pytest.mark.parametrize("model", models.KINDS)
+    def test_evaluate_ignores_the_dataset_bank_size(self, rng, model):
+        # the model's own Q encodes the interactions, so a dataset that
+        # declares a smaller bank over the same steps scores the same
+        seqs = tiny_dataset(rng, n_seqs=8, num_kcs=8).sequences
+        cfg = tiny_config(model=model)
+        params = models.init_params(models.make_arch(model, 10, asdict(cfg)),
+                                    std=0.3, seed=1)
+        want = evaluate(params, Dataset(10, seqs), cfg)
+        got = evaluate(params, Dataset(8, seqs), cfg)
+        np.testing.assert_array_equal(got.scores, want.scores)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    @pytest.mark.parametrize("model", models.KINDS)
+    @pytest.mark.parametrize("at", [2, 4])
+    def test_question_past_the_model_bank_rejected(self, rng, model, at):
+        # question 11 in the middle or at the end of a row, against Q = 10
+        steps = [(1, 0), (2, 1), (3, 1), (4, 0), (5, 1)]
+        steps[at] = (11, 1)
+        cfg = tiny_config(model=model)
+        params = models.init_params(models.make_arch(model, 10, asdict(cfg)), seed=0)
+        with pytest.raises(IndexOutOfRangeError, match=r"id 11 outside \[1, 10\]"):
+            evaluate(params, Dataset(11, [InteractionSequence("s", steps)]), cfg)
+
 
 class TestBaselineEvaluation:
     def make_splits(self, rng):
@@ -261,6 +295,27 @@ class TestBaselineEvaluation:
         tr, te = self.make_splits(rng)
         with pytest.raises(ValidationError):
             evaluate_baseline("bkt", Dataset(3, tr), Dataset(3, te))
+
+
+@pytest.mark.parametrize("step,error,message", [
+    ((1.5, 1), ValidationError, r"^question id 1\.5 is not an integer$"),
+    ((np.inf, 1), ValidationError, r"^question id inf is not finite$"),
+    ((0, 1), IndexOutOfRangeError, r"^question id 0 < 1$"),
+    ((1, 2), ValidationError, r"^answer bit must be 0 or 1, got 2$"),
+], ids=["fraction", "inf", "zero", "answer_2"])
+def test_every_step_reader_rejects_a_bad_step_alike(rng, step, error, message):
+    good = tiny_dataset(rng, n_seqs=6, num_kcs=3).sequences
+    bad = good[:3] + [InteractionSequence("bad", [(1, 0), step, (2, 1)])]
+    readers = [lambda: pad_and_mask(bad, 4, 3),
+               lambda: baselines.build_pfa_features(bad)]
+    readers += [lambda m=model: evaluate_baseline(m, Dataset(3, good), Dataset(3, bad),
+                                                  min_students=1)
+                for model in ("pfa", "lfa", "irt", "item_analysis")]
+    for read in readers:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                read()
 
 
 class TestGridSearch:

@@ -487,7 +487,6 @@ class TestModelGradients:
             t.zero_grad()
         pad = batch.mask == 0
         batch.q_ids[pad] = 3
-        batch.qa_ids[pad] = 7
         batch.answers[pad] = 1
         out2 = forward_sequence(params, batch)
         loss2 = sequence_loss(out2)
@@ -567,7 +566,7 @@ class TestPerCellOutputs:
         batch = make_batch([random_steps(rng, n, 6) for n in (7, 1, 4)], 7, 6)
         # an all-padding row scores nothing in any model
         batch = PaddedBatch(*(np.insert(g, 2, 0, axis=0) for g in (
-            batch.q_ids, batch.qa_ids, batch.answers, batch.mask)))
+            batch.q_ids, batch.answers, batch.mask)))
         out = forward(params, batch)
         expect_mask = batch.mask.copy()
         if model == "dkt":
