@@ -356,13 +356,6 @@ def tile_rows(x: Tensor, reps: int) -> Tensor:
     return _node(out_data, "tile_rows", (x,), backward)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    def backward(g, out):
-        x.accumulate_grad(np.full_like(x.data, g[0, 0]))
-
-    return _node([[x.data.sum()]], "sum_all", (x,), backward)
-
-
 def attention_read(mem: Tensor, w: Tensor) -> Tensor:
     """Weighted row combination of a batched memory.
 

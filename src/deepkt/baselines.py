@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _sigmoid
-from .datasets import NOT_A_BIT, ValidationError, flatten_steps
+from .datasets import NOT_A_BIT, ValidationError, _question_ids, flatten_steps
 
 L2_PENALTY = 1e-4
 MAX_ITERS = 500
@@ -273,6 +273,7 @@ def lfa_predict(coeffs: LfaCoeffs, attempts, skill):
 def first_attempts(seqs):
     """(student, question, answer) triples keeping each student's first try only."""
     triples = []
+    questions = set()
     for seq in seqs:
         seen = set()
         for q, a in seq.steps:
@@ -281,6 +282,8 @@ def first_attempts(seqs):
             if q not in seen:
                 seen.add(q)
                 triples.append((seq.student_id, q, a))
+        questions |= seen
+    _question_ids(np.fromiter(questions, dtype=np.float64, count=len(questions)))
     return triples
 
 

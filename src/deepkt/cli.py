@@ -17,15 +17,17 @@ from . import datasets, harness, models
 from .datasets import SequenceParseError, ValidationError
 
 
+def _given(args, cls):
+    """The fields of dataclass ``cls`` set by flags (a missing flag sets none)."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _load_config(args) -> harness.TrainConfig:
     d = {}
     if getattr(args, "config", None):
         d.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    # flag overrides win over the config file
-    for f in fields(harness.TrainConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            d[f.name] = val
+    d.update(_given(args, harness.TrainConfig))   # flags win over the config file
     return harness.TrainConfig.from_dict(d)
 
 
@@ -54,21 +56,14 @@ def _add_grid_flags(p):
 
 def _grid_from_args(args):
     """The GridSpec the grid flags set, or None when none was given."""
-    given = {f.name: getattr(args, f.name) for f in fields(harness.GridSpec)
-             if getattr(args, f.name) is not None}
+    given = _given(args, harness.GridSpec)
     return harness.GridSpec(**given) if given else None
 
 
 def cmd_gen_synthetic(args):
-    cfg = datasets.SyntheticConfig(num_students=args.students,
-                                   num_questions=args.questions,
-                                   num_concepts=args.concepts,
-                                   guess_c=args.guess, seed=args.seed)
-    if args.ability_std is not None:
-        cfg.ability_std = args.ability_std
-    if args.difficulty_std is not None:
-        cfg.difficulty_std = args.difficulty_std
-    ds, gt = datasets.generate_synthetic(cfg)
+    # unset flags keep SyntheticConfig's defaults
+    ds, gt = datasets.generate_synthetic(
+        datasets.SyntheticConfig(**_given(args, datasets.SyntheticConfig)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     datasets.save_sequences(ds, out / "synthetic.txt")
@@ -109,13 +104,9 @@ def cmd_experiment(args):
 
 
 def cmd_baseline(args):
+    """``experiment`` restricted to the classical baselines."""
     args.model = {"item": "item_analysis"}.get(args.model, args.model)
-    cfg = _load_config(args)
-    ds = datasets.load_sequences(args.data)
-    doc = harness.run_experiment(cfg, None, ds)
-    Path(args.report).write_text(harness.report_json(doc), encoding="utf-8")
-    print(f"{cfg.model}: AUC {doc['mean']['auc']:.4f}  "
-          f"acc {doc['mean']['acc']:.4f}  loss {doc['mean']['loss']:.4f}")
+    cmd_experiment(args)
 
 
 def _read_difficulty_csv(path):
@@ -165,13 +156,14 @@ def build_parser():
 
     g = sub.add_parser("gen-synthetic", help="regenerate the synthetic dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--students", type=int, default=2000)
-    g.add_argument("--questions", type=int, default=50)
-    g.add_argument("--concepts", type=int, default=5)
-    g.add_argument("--guess", type=float, default=0.25)
+    # each flag sets the SyntheticConfig field named by its dest
+    g.add_argument("--students", dest="num_students", type=int)
+    g.add_argument("--questions", dest="num_questions", type=int)
+    g.add_argument("--concepts", dest="num_concepts", type=int)
+    g.add_argument("--guess", dest="guess_c", type=float)
     g.add_argument("--ability-std", dest="ability_std", type=float)
     g.add_argument("--difficulty-std", dest="difficulty_std", type=float)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int)
     g.set_defaults(func=cmd_gen_synthetic)
 
     t = sub.add_parser("train", help="train one model and save a checkpoint")

@@ -170,7 +170,7 @@ def _not_a_pair(seqs):
 def flatten_steps(seqs):
     """(lengths, q, a) as int64 columns: each sequence's length and the
     question and answer of every step, in order.  Every question id must be
-    a finite integer >= 1 and every answer a bit.  A step that is not a pair
+    an integer in [1, 2**53) and every answer a bit.  A step that is not a pair
     is found by the value count, so steps of 3 and 1 values that make up two
     whole pairs between them still pass if the values they shift into the
     answer column are bits."""
@@ -186,19 +186,27 @@ def flatten_steps(seqs):
     if flat.size != 2 * lengths.sum():
         raise _not_a_pair(seqs)
     q, a = flat.reshape(-1, 2).T
-    with np.errstate(invalid="ignore"):   # NaN, inf and ids past int64 cast to garbage
-        whole = q.astype(np.int64)
-    for bad, values, error, message in (
-            (~np.isfinite(q), q, ValidationError, "question id {} is not finite"),
-            (whole != q, q, ValidationError, "question id {} is not an integer"),
-            (whole < 1, whole, IndexOutOfRangeError, "question id {} < 1")):
-        if bad.any():
-            raise error(message.format(values[bad][0]))
+    whole = _question_ids(q)
     bad = (a != 0) & (a != 1)
     if bad.any():   # 2.0 reads 2, as an int answer would
         answer = np.format_float_positional(a[bad][0], trim="-")
         raise ValidationError(NOT_A_BIT.format(answer))
     return lengths, whole, a.astype(np.int64)
+
+
+def _question_ids(q):
+    """float64 question ids as int64, checked finite, integral, below 2**53
+    (where float64 starts rounding integers) and >= 1."""
+    with np.errstate(invalid="ignore"):   # NaN, inf and ids past int64 cast to garbage
+        whole = q.astype(np.int64)
+    for bad, values, error, message in (
+            (~np.isfinite(q), q, ValidationError, "question id {} is not finite"),
+            (whole != q, q, ValidationError, "question id {} is not an integer"),
+            (q >= 2 ** 53, whole, ValidationError, "question id {} >= 2**53 is rounded"),
+            (whole < 1, whole, IndexOutOfRangeError, "question id {} < 1")):
+        if bad.any():
+            raise error(message.format(values[bad][0]))
+    return whole
 
 
 def pad_and_mask(seqs, seq_len: int, num_kcs: int) -> PaddedBatch:

@@ -13,7 +13,7 @@ from . import baselines, metrics, models
 from .autodiff import AdamState, adam_step, backward, clip_global_norm, no_grad
 from .datasets import (Dataset, ValidationError, flatten_steps, kfold, pad_and_mask,
                        split_train_test)
-from .metrics import PredictionSet, TrialResult, aggregate_trials
+from .metrics import PredictionSet, aggregate_trials, trial_metrics
 
 BASELINE_MODELS = ("pfa", "lfa", "irt", "item_analysis")
 
@@ -136,11 +136,6 @@ def evaluate(params, dataset: Dataset, config: TrainConfig,
     return PredictionSet(np.concatenate(scores), np.concatenate(labels))
 
 
-def _trial_metrics(pred: PredictionSet, seed: int) -> TrialResult:
-    return TrialResult(seed=seed, auc=metrics.auc(pred),
-                       acc=metrics.accuracy(pred), loss=metrics.mean_xent(pred))
-
-
 # ---------------------------------------------------------------------------
 # baselines over sequence data
 
@@ -218,15 +213,14 @@ def run_experiment(config: TrainConfig, grid: GridSpec | None,
         for k in range(config.trials):
             cfg = replace(config, seed=config.seed + k)
             params, _ = train(cfg, train_ds)
-            trials.append(_trial_metrics(evaluate(params, test_ds, cfg), cfg.seed))
+            trials.append(trial_metrics(evaluate(params, test_ds, cfg), cfg.seed))
     else:
         # classical fits are deterministic; trials repeat the same result
         pred = evaluate_baseline(config.model, train_ds, test_ds)
-        trials = [_trial_metrics(pred, config.seed) for _ in range(config.trials)]
+        trials = [trial_metrics(pred, config.seed) for _ in range(config.trials)]
 
-    report = aggregate_trials(trials)
     doc = {"dataset": dataset.name, "model": config.model,
-           "config": asdict(config), **report.to_dict()}
+           "config": asdict(config), **aggregate_trials(trials)}
     if table is not None:
         doc["grid"] = table
     return doc

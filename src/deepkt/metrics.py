@@ -9,7 +9,7 @@ external stats library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,13 +127,13 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
+    # x^a (1-x)^b / B(a, b) is symmetric in (a, x) <-> (b, 1-x), so one
+    # prefactor serves both branches
     front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                      + a * math.log(x) + b * math.log(1.0 - x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                          + b * math.log(1.0 - x) + a * math.log(x)) \
-        * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def t_sf_two_tailed(t: float, dof: float) -> float:
@@ -180,40 +180,20 @@ def pearson(xs, ys) -> float:
 # multi-trial aggregation
 
 
-@dataclass
-class TrialResult:
-    seed: int
-    auc: float
-    acc: float
-    loss: float
+def trial_metrics(pred: PredictionSet, seed: int) -> dict:
+    """One trial's row of the report: its seed, AUC, accuracy and loss."""
+    return {"seed": seed, "auc": auc(pred), "acc": accuracy(pred),
+            "loss": mean_xent(pred)}
 
 
-@dataclass
-class EvalReport:
-    trials: list
-    mean: dict = field(default_factory=dict)
-    std: dict = field(default_factory=dict)
-    single_trial: bool = False
-
-    def to_dict(self):
-        return {
-            "trials": [{"seed": t.seed, "auc": t.auc, "acc": t.acc, "loss": t.loss}
-                       for t in self.trials],
-            "mean": self.mean,
-            "std": self.std,
-            "num_trials": len(self.trials),
-            "single_trial": self.single_trial,
-        }
-
-
-def aggregate_trials(trials) -> EvalReport:
-    """Mean and sample (n-1) std per metric; a single trial reports std 0 with
-    an explicit marker."""
+def aggregate_trials(trials) -> dict:
+    """The report's trial block: the trials with the mean and sample (n-1) std
+    of each metric; a single trial reports std 0 with an explicit marker."""
     if not trials:
         raise MetricUndefinedError("aggregate_trials needs at least one trial")
-    report = EvalReport(trials=list(trials), single_trial=len(trials) == 1)
-    for name in ("auc", "acc", "loss"):
-        vals = np.array([getattr(t, name) for t in trials], dtype=np.float64)
-        report.mean[name] = float(vals.mean())
-        report.std[name] = 0.0 if len(vals) == 1 else float(vals.std(ddof=1))
-    return report
+    vals = {name: np.array([t[name] for t in trials]) for name in ("auc", "acc", "loss")}
+    return {"trials": list(trials), "num_trials": len(trials),
+            "single_trial": len(trials) == 1,
+            "mean": {name: float(v.mean()) for name, v in vals.items()},
+            "std": {name: float(v.std(ddof=1)) if len(v) > 1 else 0.0
+                    for name, v in vals.items()}}

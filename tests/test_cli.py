@@ -50,6 +50,17 @@ class TestGenSynthetic:
         assert (a / "synthetic.txt").read_bytes() == (b / "synthetic.txt").read_bytes()
         assert (a / "questions.csv").read_bytes() == (b / "questions.csv").read_bytes()
 
+    def test_unset_flags_keep_config_defaults(self, tmp_path):
+        out = tmp_path / "cli"
+        assert main(["gen-synthetic", "--out", str(out), "--students", "6"]) == 0
+        ds, gt = datasets.generate_synthetic(datasets.SyntheticConfig(num_students=6))
+        want = tmp_path / "api"
+        want.mkdir()
+        datasets.save_sequences(ds, want / "synthetic.txt")
+        datasets.write_ground_truth(gt, want)
+        for name in ("synthetic.txt", "questions.csv", "students.csv"):
+            assert (out / name).read_bytes() == (want / name).read_bytes()
+
     def test_invalid_guess_exits_1(self, tmp_path, capsys):
         code = main(["gen-synthetic", "--out", str(tmp_path / "x"),
                      "--guess", "2.0"])
@@ -202,6 +213,21 @@ class TestExperimentAndBaseline:
         doc = json.loads(report.read_text())
         assert doc["model"] == resolved
         assert 0.0 <= doc["mean"]["auc"] <= 1.0
+
+    @pytest.mark.parametrize("name,resolved", [
+        ("pfa", "pfa"), ("lfa", "lfa"), ("irt", "irt"),
+        ("item", "item_analysis"),
+    ])
+    def test_baseline_is_experiment_on_a_baseline(self, tmp_path, data_file, name,
+                                                  resolved, capsys):
+        b, e = tmp_path / "baseline.json", tmp_path / "experiment.json"
+        assert main(["baseline", "--model", name, "--data", data_file,
+                     "--report", str(b), "--trials", "2"]) == 0
+        baseline_out = capsys.readouterr().out
+        assert main(["experiment", "--model", resolved, "--data", data_file,
+                     "--report", str(e), "--trials", "2"]) == 0
+        assert b.read_bytes() == e.read_bytes()
+        assert baseline_out.replace(str(b), str(e)) == capsys.readouterr().out
 
     def test_grid_command_prints_table(self, data_file, capsys):
         code = main(["grid", "--data", data_file, "--model", "deep_irt",

@@ -173,14 +173,21 @@ class TestFlattenSteps:
         ((1e20, 1), ValidationError, r"question id 1e\+20 is not an integer"),
         ((float("nan"), 1), ValidationError, "question id nan is not finite"),
         ((0, 1), IndexOutOfRangeError, "question id 0 < 1"),
+        ((2 ** 53 + 1, 1), ValidationError, r"question id 9007199254740992 >= 2\*\*53"),
+        ((2 ** 62, 1), ValidationError, r"question id 4611686018427387904 >= 2\*\*53"),
         ((2, 0.5), ValidationError, "answer bit must be 0 or 1, got 0.5"),
         ((2, float("inf")), ValidationError, "answer bit must be 0 or 1, got inf"),
-    ], ids=["fraction", "huge", "nan", "zero", "half_answer", "inf_answer"])
+    ], ids=["fraction", "huge", "nan", "zero", "past_2_53", "int64_past_2_53",
+            "half_answer", "inf_answer"])
     def test_bad_value_rejected(self, step, error, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error, match=message):
                 datasets.flatten_steps([make_seq(0, [(1, 0), step])])
+
+    def test_largest_exact_id_kept(self):
+        _, q, _ = datasets.flatten_steps([make_seq(0, [(2 ** 53 - 1, 1)])])
+        assert q.tolist() == [2 ** 53 - 1]
 
     def test_shifted_pairs_caught_by_the_answer_check(self):
         # a 3-tuple and a 1-tuple make up two whole pairs; here the shift puts

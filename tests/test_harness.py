@@ -301,13 +301,16 @@ class TestBaselineEvaluation:
     ((1.5, 1), ValidationError, r"^question id 1\.5 is not an integer$"),
     ((np.inf, 1), ValidationError, r"^question id inf is not finite$"),
     ((0, 1), IndexOutOfRangeError, r"^question id 0 < 1$"),
+    ((2 ** 53 + 1, 1), ValidationError, r"^question id 9007199254740992 >= 2\*\*53 is rounded$"),
     ((1, 2), ValidationError, r"^answer bit must be 0 or 1, got 2$"),
-], ids=["fraction", "inf", "zero", "answer_2"])
+], ids=["fraction", "inf", "zero", "past_2_53", "answer_2"])
 def test_every_step_reader_rejects_a_bad_step_alike(rng, step, error, message):
     good = tiny_dataset(rng, n_seqs=6, num_kcs=3).sequences
     bad = good[:3] + [InteractionSequence("bad", [(1, 0), step, (2, 1)])]
     readers = [lambda: pad_and_mask(bad, 4, 3),
-               lambda: baselines.build_pfa_features(bad)]
+               lambda: baselines.build_pfa_features(bad),
+               lambda: baselines.fit_irt(baselines.first_attempts(bad)),
+               lambda: baselines.item_analysis(bad, 1)]
     readers += [lambda m=model: evaluate_baseline(m, Dataset(3, good), Dataset(3, bad),
                                                   min_students=1)
                 for model in ("pfa", "lfa", "irt", "item_analysis")]

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 import oracle
-from deepkt.metrics import (EvalReport, MetricUndefinedError, PredictionSet,
-                            TrialResult, accuracy, aggregate_trials, auc,
-                            mean_xent, pearson, t_sf_two_tailed, tied_ranks,
+from deepkt.metrics import (MetricUndefinedError, PredictionSet, accuracy,
+                            aggregate_trials, auc, mean_xent, pearson,
+                            t_sf_two_tailed, tied_ranks, trial_metrics,
                             ttest_two_tailed)
 
 
@@ -210,27 +210,34 @@ class TestPearson:
 
 class TestAggregateTrials:
     def trial(self, seed, a):
-        return TrialResult(seed=seed, auc=a, acc=a, loss=1 - a)
+        return {"seed": seed, "auc": a, "acc": a, "loss": 1 - a}
 
     def test_single_trial_marker(self):
         rep = aggregate_trials([self.trial(0, 0.8)])
-        assert rep.single_trial
-        assert rep.std["auc"] == 0.0
-        assert rep.mean["auc"] == 0.8
+        assert rep["single_trial"]
+        assert rep["std"]["auc"] == 0.0
+        assert rep["mean"]["auc"] == 0.8
 
     def test_two_trials(self):
         rep = aggregate_trials([self.trial(0, 80.0), self.trial(1, 82.0)])
-        assert rep.mean["auc"] == 81.0
-        assert rep.std["auc"] == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert rep["mean"]["auc"] == 81.0
+        assert rep["std"]["auc"] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_five_trials_hand_computed(self, rng):
         vals = rng.random(5)
         rep = aggregate_trials([self.trial(i, v) for i, v in enumerate(vals)])
-        assert rep.mean["auc"] == pytest.approx(vals.mean(), abs=1e-12)
-        assert rep.std["auc"] == pytest.approx(vals.std(ddof=1), abs=1e-12)
-        assert not rep.single_trial
-        assert [t.seed for t in rep.trials] == list(range(5))
+        assert rep["mean"]["auc"] == pytest.approx(vals.mean(), abs=1e-12)
+        assert rep["std"]["auc"] == pytest.approx(vals.std(ddof=1), abs=1e-12)
+        assert not rep["single_trial"]
+        assert rep["num_trials"] == 5
+        assert [t["seed"] for t in rep["trials"]] == list(range(5))
 
     def test_empty_rejected(self):
         with pytest.raises(MetricUndefinedError):
             aggregate_trials([])
+
+    def test_trial_metrics_row(self):
+        pred = PredictionSet([0.9, 0.2, 0.6, 0.4], [1, 0, 0, 1])
+        assert trial_metrics(pred, 7) == {"seed": 7, "auc": auc(pred),
+                                          "acc": accuracy(pred),
+                                          "loss": mean_xent(pred)}
