@@ -18,14 +18,15 @@ for model in ("irt", "pfa", "lfa", "item_analysis"):
     pred = evaluate_baseline(model, train_ds, test_ds)
     print(f"  {model:14s} {auc(pred):.4f}")
 
-# The 1PL fit recovers the generator's difficulty ordering.
-fit = fit_irt(first_attempts(train_ds.sequences))
+# The 1PL fit recovers the generator's difficulty ordering; it reads the
+# steps evaluate_baseline already checked.
+fit = fit_irt(first_attempts(train_ds))
 est = [fit.beta[j + 1] for j in range(cfg.num_questions)]
 print(f"\n1PL fit converged: {fit.converged} (grad norm {fit.grad_norm:.2e})")
 print(f"corr(fitted beta, true beta) = {pearson(est, gt.beta):.3f}")
 
 # Item analysis agrees with the IRT difficulties up to the link function.
-diff = item_analysis(train_ds.sequences, min_students=10)
+diff = item_analysis(train_ds, min_students=10)
 common = sorted(diff)
 r = pearson([diff[q] for q in common], [fit.beta[q] for q in common])
 print(f"corr(item-analysis difficulty, 1PL beta) = {r:.3f}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _sigmoid
-from .datasets import NOT_A_BIT, ValidationError, _question_ids, flatten_steps
+from .datasets import Dataset, ValidationError, step_columns
 
 L2_PENALTY = 1e-4
 MAX_ITERS = 500
@@ -36,9 +36,35 @@ def lookup(table: dict, keys, default: float = 0.0):
     return values[inverse].reshape(np.shape(keys))
 
 
+@dataclass
+class FirstAttempts:
+    """(student, question, answer) observations as columns: observation i is
+    student ``students[student[i]]`` answering ``question[i]`` with
+    ``answer[i]``; ``students`` holds the distinct ids, sorted.  Iterating
+    gives the observations as triples."""
+    students: np.ndarray
+    student: np.ndarray
+    question: np.ndarray
+    answer: np.ndarray
+
+    @classmethod
+    def from_triples(cls, triples):
+        students, questions, answers = zip(*triples)
+        students, student = np.unique(students, return_inverse=True)
+        return cls(students, student, np.array(questions), np.array(answers))
+
+    def __len__(self):
+        return len(self.student)
+
+    def __iter__(self):
+        return zip(self.students[self.student].tolist(), self.question.tolist(),
+                   self.answer.tolist())
+
+
 def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
             tol: float = GRAD_TOL) -> IrtParams:
-    """Penalized maximum likelihood for P = sigmoid(theta_i - beta_j).
+    """Penalized maximum likelihood for P = sigmoid(theta_i - beta_j) on a
+    ``FirstAttempts`` or on (student, question, answer) triples.
 
     Ascent uses diagonally preconditioned (per-coordinate Newton) steps on the
     L2-penalized Bernoulli log-likelihood until the gradient norm drops below
@@ -46,10 +72,11 @@ def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
     """
     if not first_attempts:
         raise ValidationError("fit_irt needs at least one observation")
-    students, questions, answers = zip(*first_attempts)
-    students, si = np.unique(students, return_inverse=True)
-    questions, qi = np.unique(questions, return_inverse=True)
-    y = np.array(answers, dtype=np.float64)
+    if not isinstance(first_attempts, FirstAttempts):
+        first_attempts = FirstAttempts.from_triples(first_attempts)
+    students, si = first_attempts.students, first_attempts.student
+    questions, qi = np.unique(first_attempts.question, return_inverse=True)
+    y = first_attempts.answer.astype(np.float64)
 
     theta = np.zeros(len(students))
     beta = np.zeros(len(questions))
@@ -109,20 +136,29 @@ class PfaFeatures:
         return len(self.skill)
 
 
-def build_pfa_features(seqs) -> PfaFeatures:
-    """Each step's skill, answer and prior successes and failures on that skill
-    by the same student, in step order."""
-    lengths, skill, a = flatten_steps(seqs)
-    n = len(skill)
+def _group_steps(lengths, skill):
+    """(order, starts): the flat steps sorted by (sequence, skill) group, each
+    group in step order, and a mask of the sorted positions that start a
+    group."""
     # the flat steps run sequence by sequence, so a stable sort by skill alone
     # keeps each (sequence, skill) group together and in step order; the
     # narrowest unsigned key lets numpy radix-sort it
     low = skill.min(initial=0)
     key = (skill - low).astype(np.min_scalar_type(int(skill.max(initial=0) - low)))
     order = np.argsort(key, kind="stable")
-    student = np.repeat(np.arange(len(lengths)), lengths)[order]
+    sequence = np.repeat(np.arange(len(lengths)), lengths)[order]
     k = skill[order]
-    starts = np.r_[True, (k[1:] != k[:-1]) | (student[1:] != student[:-1])]
+    starts = np.ones(len(k), dtype=bool)
+    starts[1:] = (k[1:] != k[:-1]) | (sequence[1:] != sequence[:-1])
+    return order, starts
+
+
+def build_pfa_features(data) -> PfaFeatures:
+    """Each step's skill, answer and prior successes and failures on that skill
+    by the same student, in step order, for a Dataset or a list of sequences."""
+    lengths, skill, a = step_columns(data)
+    n = len(skill)
+    order, starts = _group_steps(lengths, skill)
     # prior attempts and prior successes within the group: the position and the
     # sum of a before the step, each less its value at the group's first step
     pos = np.arange(n)
@@ -270,31 +306,28 @@ def lfa_predict(coeffs: LfaCoeffs, attempts, skill):
 # item analysis
 
 
-def first_attempts(seqs):
-    """(student, question, answer) triples keeping each student's first try only."""
-    triples = []
-    questions = set()
-    for seq in seqs:
-        seen = set()
-        for q, a in seq.steps:
-            if a not in (0, 1):
-                raise ValidationError(NOT_A_BIT.format(a))
-            if q not in seen:
-                seen.add(q)
-                triples.append((seq.student_id, q, a))
-        questions |= seen
-    _question_ids(np.fromiter(questions, dtype=np.float64, count=len(questions)))
-    return triples
+def first_attempts(data) -> FirstAttempts:
+    """Each sequence's first try at each question it asked, in step order, for a
+    Dataset or a list of sequences."""
+    lengths, q, a = step_columns(data)
+    order, starts = _group_steps(lengths, q)
+    first = np.sort(order[starts])
+    sequences = data.sequences if isinstance(data, Dataset) else data
+    # an empty sequence has no attempts, so its id is no student
+    ids = [seq.student_id for seq, n in zip(sequences, lengths.tolist()) if n]
+    students, student = np.unique(ids, return_inverse=True)
+    return FirstAttempts(students, np.repeat(student, lengths[lengths > 0])[first],
+                         q[first], a[first])
 
 
-def item_analysis(seqs, min_students: int = 10) -> dict:
+def item_analysis(data, min_students: int = 10) -> dict:
     """Fraction of distinct students whose first attempt was incorrect; questions
     with fewer than ``min_students`` distinct students are omitted."""
     if min_students < 1:
         raise ValidationError(f"min_students must be >= 1, got {min_students}")
-    counts = {}
-    wrong = {}
-    for _, q, a in first_attempts(seqs):
-        counts[q] = counts.get(q, 0) + 1
-        wrong[q] = wrong.get(q, 0) + (1 - a)
-    return {q: wrong[q] / counts[q] for q in counts if counts[q] >= min_students}
+    tries = first_attempts(data)
+    questions, index, counts = np.unique(tries.question, return_inverse=True,
+                                         return_counts=True)
+    wrong = np.bincount(index, 1 - tries.answer, len(questions))
+    keep = counts >= min_students
+    return dict(zip(questions[keep].tolist(), (wrong[keep] / counts[keep]).tolist()))

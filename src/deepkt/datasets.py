@@ -4,7 +4,7 @@ synthetic student generator."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -35,9 +35,14 @@ class InteractionSequence:
 
 @dataclass
 class Dataset:
+    """Sequences over questions 1..num_kcs.  ``step_columns`` keeps their
+    validated columns, so the library reads ``sequences`` and never edits it;
+    a caller that changes one in place must bind a new list."""
     num_kcs: int
     sequences: list
     name: str = ""
+    # (the sequences list, its step_columns), set on first use
+    _columns: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.sequences)
@@ -158,33 +163,26 @@ def _parse_int_list(text, path, lineno):
 
 def _not_a_pair(seqs):
     """A ValidationError naming the first sequence with a step that is not a
-    (question, answer) pair, or None when every step is one."""
-    for seq in seqs:
-        for step in seq.steps:
-            if not (hasattr(step, "__len__") and len(step) == 2):
-                return ValidationError(f"sequence {seq.student_id!r}: step {step!r} "
-                                       f"is not a (question, answer) pair")
-    return None
+    (question, answer) pair; there must be one."""
+    seq, step = next((seq, step) for seq in seqs for step in seq.steps
+                     if not (hasattr(step, "__len__") and len(step) == 2))
+    return ValidationError(f"sequence {seq.student_id!r}: step {step!r} "
+                           f"is not a (question, answer) pair")
 
 
 def flatten_steps(seqs):
     """(lengths, q, a) as int64 columns: each sequence's length and the
-    question and answer of every step, in order.  Every question id must be
-    an integer in [1, 2**53) and every answer a bit.  A step that is not a pair
-    is found by the value count, so steps of 3 and 1 values that make up two
-    whole pairs between them still pass if the values they shift into the
-    answer column are bits."""
+    question and answer of every step, in order.  Every step must be a pair,
+    every question id an integer in [1, 2**53) and every answer a bit."""
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     try:
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(s.steps for s in seqs)),
-                           dtype=np.float64)
-    except TypeError:     # a step that is a bare value, or a value that is None
-        error = _not_a_pair(seqs)
-        if error is None:
-            raise
-        raise error from None
-    if flat.size != 2 * lengths.sum():
+        sizes = set(map(len, chain.from_iterable(s.steps for s in seqs)))
+    except TypeError:     # a step that is a bare value
+        sizes = None
+    if sizes is None or sizes - {2}:
         raise _not_a_pair(seqs)
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(s.steps for s in seqs)),
+                       dtype=np.float64, count=2 * int(lengths.sum()))
     q, a = flat.reshape(-1, 2).T
     whole = _question_ids(q)
     bad = (a != 0) & (a != 1)
@@ -192,6 +190,21 @@ def flatten_steps(seqs):
         answer = np.format_float_positional(a[bad][0], trim="-")
         raise ValidationError(NOT_A_BIT.format(answer))
     return lengths, whole, a.astype(np.int64)
+
+
+def step_columns(data):
+    """``flatten_steps`` of a Dataset's sequences or of a list of sequences.
+    A Dataset keeps its read-only columns while ``sequences`` is the same list,
+    so each dataset is flattened and checked once; a failed check keeps
+    nothing."""
+    if not isinstance(data, Dataset):
+        return flatten_steps(data)
+    if data._columns is None or data._columns[0] is not data.sequences:
+        columns = flatten_steps(data.sequences)
+        for column in columns:
+            column.flags.writeable = False
+        data._columns = (data.sequences, columns)
+    return data._columns[1]
 
 
 def _question_ids(q):

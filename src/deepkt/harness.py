@@ -11,8 +11,8 @@ import numpy as np
 
 from . import baselines, metrics, models
 from .autodiff import AdamState, adam_step, backward, clip_global_norm, no_grad
-from .datasets import (Dataset, ValidationError, flatten_steps, kfold, pad_and_mask,
-                       split_train_test)
+from .datasets import (Dataset, ValidationError, kfold, pad_and_mask, split_train_test,
+                       step_columns)
 from .metrics import PredictionSet, aggregate_trials, trial_metrics
 
 BASELINE_MODELS = ("pfa", "lfa", "irt", "item_analysis")
@@ -142,24 +142,25 @@ def evaluate(params, dataset: Dataset, config: TrainConfig,
 
 def evaluate_baseline(model: str, train_ds: Dataset, test_ds: Dataset,
                       min_students: int = 10) -> PredictionSet:
-    """Fit a classical model on the train split and score test steps online."""
+    """Fit a classical model on the train split and score test steps online.
+    Each split's steps are flattened and checked on its first call only."""
     if model in ("pfa", "lfa"):
-        test = baselines.build_pfa_features(test_ds.sequences)
-        coeffs = baselines.fit_logistic(baselines.build_pfa_features(train_ds.sequences),
+        test = baselines.build_pfa_features(test_ds)
+        coeffs = baselines.fit_logistic(baselines.build_pfa_features(train_ds),
                                         design=model.upper())
         scores = (baselines.pfa_predict(coeffs, test.successes, test.failures, test.skill)
                   if model == "pfa" else
                   baselines.lfa_predict(coeffs, test.successes + test.failures, test.skill))
         return PredictionSet(scores, test.label)
     # IRT and item analysis score a step by its question alone
-    _, skill, label = flatten_steps(test_ds.sequences)
+    _, skill, label = step_columns(test_ds)
     if model == "irt":
-        fit = baselines.fit_irt(baselines.first_attempts(train_ds.sequences))
+        fit = baselines.fit_irt(baselines.first_attempts(train_ds))
         # test students are cold (theta unknown): use the anchored mean 0;
         # an unseen question reads beta 0, so it scores 0.5
         scores = baselines.irt_predict(0.0, baselines.lookup(fit.beta, skill))
     elif model == "item_analysis":
-        diff = baselines.item_analysis(train_ds.sequences, min_students)
+        diff = baselines.item_analysis(train_ds, min_students)
         scores = 1.0 - baselines.lookup(diff, skill, default=0.5)
     else:
         raise ValidationError(f"unknown baseline {model!r}")
@@ -215,9 +216,9 @@ def run_experiment(config: TrainConfig, grid: GridSpec | None,
             params, _ = train(cfg, train_ds)
             trials.append(trial_metrics(evaluate(params, test_ds, cfg), cfg.seed))
     else:
-        # classical fits are deterministic; trials repeat the same result
+        # classical fits are deterministic; trials repeat the same row
         pred = evaluate_baseline(config.model, train_ds, test_ds)
-        trials = [trial_metrics(pred, config.seed) for _ in range(config.trials)]
+        trials = [trial_metrics(pred, config.seed)] * config.trials
 
     doc = {"dataset": dataset.name, "model": config.model,
            "config": asdict(config), **aggregate_trials(trials)}

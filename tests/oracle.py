@@ -4,9 +4,9 @@ The per-step forwards for DKVMN, Deep-IRT and DKT build one small graph node
 per operation and time step, exactly as the models were first written.  The
 fused forwards in ``deepkt.models`` must agree with them on every scored step,
 in values and in gradients.  The dense IRLS fit, the step-by-step counting
-loop, the three-sigmoid IRT loop, the per-step baseline scoring and the
-run-by-run rank loop are the references for ``deepkt.baselines``,
-``harness.evaluate_baseline`` and ``metrics.tied_ranks``.
+loop, the per-sequence first-attempt loop, the three-sigmoid IRT loop, the
+per-step baseline scoring and the run-by-run rank loop are the references for
+``deepkt.baselines``, ``harness.evaluate_baseline`` and ``metrics.tied_ranks``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from deepkt import autodiff as ad
 from deepkt import baselines
 from deepkt.autodiff import Tensor
+from deepkt.datasets import NOT_A_BIT, ValidationError, _question_ids
 from deepkt.models import ABILITY_SCALE, PROB_EPS, DkvmnParams, DktParams
 
 
@@ -227,6 +228,24 @@ def build_pfa_features_loop(seqs):
                                  successes=np.array(succ, dtype=np.float64),
                                  failures=np.array(fail, dtype=np.float64),
                                  label=np.array(label, dtype=np.int64))
+
+
+def first_attempts_loop(seqs):
+    """(student, question, answer) triples of each sequence's first try at each
+    question, kept in a seen-set per sequence, step by step."""
+    triples = []
+    questions = set()
+    for seq in seqs:
+        seen = set()
+        for q, a in seq.steps:
+            if a not in (0, 1):
+                raise ValidationError(NOT_A_BIT.format(a))
+            if q not in seen:
+                seen.add(q)
+                triples.append((seq.student_id, q, a))
+        questions |= seen
+    _question_ids(np.fromiter(questions, dtype=np.float64, count=len(questions)))
+    return triples
 
 
 def fit_irt_loop(first_attempts, l2=baselines.L2_PENALTY,

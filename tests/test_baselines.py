@@ -10,7 +10,7 @@ from deepkt.baselines import (IrtParams, LfaCoeffs, PfaCoeffs, PfaFeatures,
                               build_pfa_features, first_attempts, fit_irt,
                               fit_logistic, irt_predict, item_analysis,
                               lfa_predict, pfa_predict)
-from deepkt.datasets import (InteractionSequence, SyntheticConfig,
+from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
                              ValidationError, generate_synthetic)
 from deepkt.metrics import pearson
 
@@ -424,10 +424,47 @@ class TestPredictors:
             pytest.approx([0.5, irt_predict(0.0, 2.0)], abs=0)
 
 
+def shared_ids(rng):
+    """Ragged random sequences whose student ids repeat, plus an empty one."""
+    seqs = [seq(i % 7, s.steps) for i, s in enumerate(random_seqs(rng, 30, 6, 25))]
+    return seqs[:9] + [seq(99, [])] + seqs[9:]
+
+
+FIRST_ATTEMPT_CASES = [
+    ("one-id-two-sequences", [seq(0, [(2, 1), (1, 0), (2, 0)]), seq(1, [(1, 1)]),
+                              seq(0, [(1, 1), (2, 0), (1, 0)])]),
+    ("empty-sequence", [seq(0, [(1, 1), (1, 0)]), seq(1, []), seq(2, [(1, 0)])]),
+    ("no-sequences", []),
+    ("sparse-ids", [seq(0, [(100000, 1), (7, 0), (100000, 0), (7, 1)]),
+                    seq(1, [(7, 0), (100000, 1), (100000, 1)])]),
+    ("random-shared-ids", shared_ids(np.random.default_rng(12))),
+]
+
+
+class TestFirstAttempts:
+    @pytest.mark.parametrize("name,seqs", FIRST_ATTEMPT_CASES,
+                             ids=[c[0] for c in FIRST_ATTEMPT_CASES])
+    def test_equals_loop(self, name, seqs):
+        loop = oracle.first_attempts_loop(seqs)
+        for data in (seqs, Dataset(100000, seqs)):
+            fast = first_attempts(data)
+            assert list(fast) == loop
+            assert len(fast) == len(loop)
+            assert fast.students.tolist() == sorted({t[0] for t in loop})
+
+    @pytest.mark.parametrize("name,seqs", [c for c in FIRST_ATTEMPT_CASES if c[1]],
+                             ids=[c[0] for c in FIRST_ATTEMPT_CASES if c[1]])
+    def test_fit_irt_bit_identical_to_loops(self, name, seqs):
+        fast = fit_irt(first_attempts(Dataset(100000, seqs)))
+        loop = oracle.fit_irt_loop(oracle.first_attempts_loop(seqs))
+        assert fast.theta == loop.theta and fast.beta == loop.beta
+        assert fast.grad_norm == loop.grad_norm
+
+
 class TestItemAnalysis:
     def test_first_attempts_keep_first_only(self):
         triples = first_attempts([seq(0, [(1, 0), (1, 1), (2, 1)])])
-        assert triples == [("0", 1, 0), ("0", 2, 1)]
+        assert list(triples) == [("0", 1, 0), ("0", 2, 1)]
 
     def test_difficulty_fractions(self):
         seqs = [seq(i, [(1, 1 if i < 8 else 0), (2, 1 if i < 2 else 0)])

@@ -189,15 +189,6 @@ class TestFlattenSteps:
         _, q, _ = datasets.flatten_steps([make_seq(0, [(2 ** 53 - 1, 1)])])
         assert q.tolist() == [2 ** 53 - 1]
 
-    def test_shifted_pairs_caught_by_the_answer_check(self):
-        # a 3-tuple and a 1-tuple make up two whole pairs; here the shift puts
-        # a 2 in the answer column
-        with pytest.raises(ValidationError, match="answer bit must be 0 or 1, got 2"):
-            datasets.flatten_steps([make_seq(0, [(1, 2, 3), (1,)])])
-        # a shift that leaves bits in the answer column still passes
-        _, q, a = datasets.flatten_steps([make_seq(0, [(1, 0, 1), (1,)])])
-        np.testing.assert_array_equal(np.c_[q, a], [(1, 0), (1, 1)])
-
     def test_bare_ids_instead_of_pairs_named(self):
         seqs = [make_seq("ok", [(1, 0)]), InteractionSequence("s1", [1, 2, 3])]
         with pytest.raises(ValidationError, match="sequence 's1': step 1 is not a"):
@@ -205,13 +196,67 @@ class TestFlattenSteps:
         with pytest.raises(ValidationError, match="'s1'"):
             pad_and_mask(seqs, 4, 4)
 
-    @pytest.mark.parametrize("steps", [[(1, 0), (2, 1, 0)], [(2,)]])
+    # the last two make up two whole pairs between a 3-tuple and a 1-tuple,
+    # with bits in the shifted answer column in the last one
+    @pytest.mark.parametrize("steps", [[(1, 0), (2, 1, 0)], [(2,)],
+                                       [(1, 2, 3), (1,)], [(1, 0, 1), (1,)]])
     def test_step_of_other_size_named(self, steps):
         seqs = [make_seq("ok", [(1, 0)]), make_seq("s2", steps)]
         with pytest.raises(ValidationError, match="sequence 's2': step .* not a"):
             datasets.flatten_steps(seqs)
         with pytest.raises(ValidationError, match="'s2'"):
             pad_and_mask(seqs, 4, 4)
+
+
+def count_flattens(monkeypatch):
+    """A list that grows by one each time datasets.flatten_steps runs."""
+    calls, flatten = [], datasets.flatten_steps
+
+    def counted(seqs):
+        calls.append(len(seqs))
+        return flatten(seqs)
+
+    monkeypatch.setattr(datasets, "flatten_steps", counted)
+    return calls
+
+
+class TestStepColumns:
+    def test_dataset_flattened_once(self, monkeypatch):
+        calls = count_flattens(monkeypatch)
+        ds = Dataset(3, [make_seq(0, [(3, 1), (1, 0)]), make_seq(1, [(2, 1)])])
+        first = datasets.step_columns(ds)
+        again = datasets.step_columns(ds)
+        assert calls == [2]
+        assert all(a is b for a, b in zip(first, again))
+        for got, want in zip(first, datasets.flatten_steps(ds.sequences)):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+
+    def test_list_flattened_every_call(self, monkeypatch):
+        calls = count_flattens(monkeypatch)
+        seqs = [make_seq(0, [(1, 1)])]
+        datasets.step_columns(seqs)
+        datasets.step_columns(seqs)
+        assert calls == [1, 1]
+
+    def test_rebinding_sequences_recomputes(self, monkeypatch):
+        calls = count_flattens(monkeypatch)
+        ds = Dataset(3, [make_seq(0, [(1, 1)])])
+        datasets.step_columns(ds)
+        ds.sequences = [make_seq(0, [(2, 0), (3, 1)])]
+        _, q, a = datasets.step_columns(ds)
+        assert calls == [1, 1]
+        assert q.tolist() == [2, 3] and a.tolist() == [0, 1]
+
+    def test_bad_dataset_raises_every_call_and_keeps_nothing(self, monkeypatch):
+        calls = count_flattens(monkeypatch)
+        ds = Dataset(3, [make_seq(0, [(1, 1), (1.5, 0)])])
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="1.5 is not an integer"):
+                datasets.step_columns(ds)
+        assert calls == [1, 1]
+        assert ds._columns is None
+        assert ds == Dataset(3, [make_seq(0, [(1, 1), (1.5, 0)])])
 
 
 class TestSplits:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from deepkt import baselines, harness, models
+from deepkt import baselines, datasets, harness, models
 from deepkt.autodiff import IndexOutOfRangeError
 from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
                              ValidationError, generate_synthetic, pad_and_mask)
@@ -291,10 +291,37 @@ class TestBaselineEvaluation:
         np.testing.assert_array_equal(got.scores, want.scores)
         np.testing.assert_array_equal(got.labels, want.labels)
 
+    def test_each_split_flattened_once(self, rng, monkeypatch):
+        tr, te = self.make_splits(rng)
+        train_ds, test_ds = Dataset(3, tr), Dataset(3, te)
+        want = {m: evaluate_baseline(m, Dataset(3, tr), Dataset(3, te), min_students=2)
+                for m in harness.BASELINE_MODELS}
+        calls, flatten = [], datasets.flatten_steps
+        monkeypatch.setattr(datasets, "flatten_steps",
+                            lambda seqs: calls.append(seqs) or flatten(seqs))
+        for _ in range(2):
+            for model in harness.BASELINE_MODELS:
+                got = evaluate_baseline(model, train_ds, test_ds, min_students=2)
+                np.testing.assert_array_equal(got.scores, want[model].scores)
+                np.testing.assert_array_equal(got.labels, want[model].labels)
+        assert len(calls) == 2
+        assert {id(c) for c in calls} == {id(tr), id(te)}
+
     def test_unknown_baseline(self, rng):
         tr, te = self.make_splits(rng)
         with pytest.raises(ValidationError):
             evaluate_baseline("bkt", Dataset(3, tr), Dataset(3, te))
+
+
+def step_readers(good, bad):
+    """Every library call that reads the steps of ``bad``."""
+    readers = [lambda: pad_and_mask(bad, 4, 3),
+               lambda: baselines.build_pfa_features(bad),
+               lambda: baselines.fit_irt(baselines.first_attempts(bad)),
+               lambda: baselines.item_analysis(bad, 1)]
+    return readers + [lambda m=model: evaluate_baseline(m, Dataset(3, good), Dataset(3, bad),
+                                                        min_students=1)
+                      for model in ("pfa", "lfa", "irt", "item_analysis")]
 
 
 @pytest.mark.parametrize("step,error,message", [
@@ -307,18 +334,19 @@ class TestBaselineEvaluation:
 def test_every_step_reader_rejects_a_bad_step_alike(rng, step, error, message):
     good = tiny_dataset(rng, n_seqs=6, num_kcs=3).sequences
     bad = good[:3] + [InteractionSequence("bad", [(1, 0), step, (2, 1)])]
-    readers = [lambda: pad_and_mask(bad, 4, 3),
-               lambda: baselines.build_pfa_features(bad),
-               lambda: baselines.fit_irt(baselines.first_attempts(bad)),
-               lambda: baselines.item_analysis(bad, 1)]
-    readers += [lambda m=model: evaluate_baseline(m, Dataset(3, good), Dataset(3, bad),
-                                                  min_students=1)
-                for model in ("pfa", "lfa", "irt", "item_analysis")]
-    for read in readers:
+    for read in step_readers(good, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error, match=message):
                 read()
+
+
+def test_every_step_reader_names_the_first_bad_id(rng):
+    good = tiny_dataset(rng, n_seqs=6, num_kcs=3).sequences
+    bad = [InteractionSequence("bad", [(2.5, 1), (1.5, 0)])]
+    for read in step_readers(good, bad):
+        with pytest.raises(ValidationError, match=r"^question id 2\.5 is not an integer$"):
+            read()
 
 
 class TestGridSearch:
