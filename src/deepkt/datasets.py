@@ -4,6 +4,7 @@ synthetic student generator."""
 from __future__ import annotations
 
 import csv
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -36,12 +37,11 @@ class InteractionSequence:
 @dataclass
 class Dataset:
     """Sequences over questions 1..num_kcs.  ``step_columns`` keeps their
-    validated columns, so the library reads ``sequences`` and never edits it;
-    a caller that changes one in place must bind a new list."""
+    validated columns and reuses them while the sequences hold equal steps."""
     num_kcs: int
     sequences: list
     name: str = ""
-    # (the sequences list, its step_columns), set on first use
+    # (a copy of each sequence's steps list, their step_columns), set on first use
     _columns: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
@@ -194,17 +194,30 @@ def flatten_steps(seqs):
 
 def step_columns(data):
     """``flatten_steps`` of a Dataset's sequences or of a list of sequences.
-    A Dataset keeps its read-only columns while ``sequences`` is the same list,
-    so each dataset is flattened and checked once; a failed check keeps
-    nothing."""
+    A Dataset keeps its read-only columns with a copy of each sequence's steps
+    list and reuses them while every steps list still equals its copy, so an
+    unedited dataset is flattened and checked once and any edit to its
+    sequences or their steps lists is picked up; a failed check keeps
+    nothing.  A mutable step changed in place (a list or array step) is not
+    seen."""
     if not isinstance(data, Dataset):
         return flatten_steps(data)
-    if data._columns is None or data._columns[0] is not data.sequences:
+    steps = [seq.steps for seq in data.sequences]
+    if data._columns is None or not _equal(data._columns[0], steps):
         columns = flatten_steps(data.sequences)
         for column in columns:
             column.flags.writeable = False
-        data._columns = (data.sequences, columns)
+        data._columns = ([copy(s) for s in steps], columns)
     return data._columns[1]
+
+
+def _equal(kept, steps):
+    """Whether two lists of steps lists are equal; steps that cannot be
+    compared as one truth value (numpy arrays) count as unequal."""
+    try:
+        return kept == steps
+    except ValueError:
+        return False
 
 
 def _question_ids(q):

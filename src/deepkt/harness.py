@@ -143,7 +143,8 @@ def evaluate(params, dataset: Dataset, config: TrainConfig,
 def evaluate_baseline(model: str, train_ds: Dataset, test_ds: Dataset,
                       min_students: int = 10) -> PredictionSet:
     """Fit a classical model on the train split and score test steps online.
-    Each split's steps are flattened and checked on its first call only."""
+    A split scored again with its steps unedited is not flattened again
+    (``datasets.step_columns``)."""
     if model in ("pfa", "lfa"):
         test = baselines.build_pfa_features(test_ds)
         coeffs = baselines.fit_logistic(baselines.build_pfa_features(train_ds),
@@ -218,7 +219,8 @@ def run_experiment(config: TrainConfig, grid: GridSpec | None,
     else:
         # classical fits are deterministic; trials repeat the same row
         pred = evaluate_baseline(config.model, train_ds, test_ds)
-        trials = [trial_metrics(pred, config.seed)] * config.trials
+        row = trial_metrics(pred, config.seed)
+        trials = [dict(row) for _ in range(config.trials)]
 
     doc = {"dataset": dataset.name, "model": config.model,
            "config": asdict(config), **aggregate_trials(trials)}

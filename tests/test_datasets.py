@@ -248,6 +248,52 @@ class TestStepColumns:
         assert calls == [1, 1]
         assert q.tolist() == [2, 3] and a.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("edit", [
+        lambda seqs: seqs.append(make_seq(9, [(3, 1)])),
+        lambda seqs: seqs.pop(0),
+        lambda seqs: seqs.__setitem__(1, make_seq(1, [(3, 1)])),
+        lambda seqs: seqs[0].steps.append((3, 1)),
+        lambda seqs: seqs[0].steps.__setitem__(1, (3, 1)),
+        lambda seqs: setattr(seqs[1], "steps", [(3, 0)]),
+    ], ids=["append", "pop", "replace-sequence", "append-step", "replace-step",
+            "rebind-steps"])
+    def test_edit_in_place_recomputes(self, monkeypatch, edit):
+        calls = count_flattens(monkeypatch)
+        ds = Dataset(3, [make_seq(0, [(3, 1), (1, 0)]), make_seq(1, [(2, 1)])])
+        datasets.step_columns(ds)
+        edit(ds.sequences)
+        got = datasets.step_columns(ds)
+        assert datasets.step_columns(ds) is got
+        assert len(calls) == 2
+        for got, want in zip(got, datasets.flatten_steps(ds.sequences)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_edit_to_a_bad_step_raises(self):
+        ds = Dataset(3, [make_seq(0, [(3, 1), (1, 0)])])
+        datasets.step_columns(ds)
+        ds.sequences[0].steps[1] = (1.5, 0)
+        with pytest.raises(ValidationError, match="1.5 is not an integer"):
+            datasets.step_columns(ds)
+
+    def test_equal_steps_reuse_the_columns(self, monkeypatch):
+        calls = count_flattens(monkeypatch)
+        ds = Dataset(3, [make_seq(0, [(3, 1), (1, 0)])])
+        first = datasets.step_columns(ds)
+        ds.sequences = [make_seq(0, [(3, 1), (1, 0)])]
+        assert datasets.step_columns(ds) is first
+        assert len(calls) == 1
+
+    def test_array_step_replaced_recomputes(self, monkeypatch):
+        # a different array step cannot be compared as one truth value
+        calls = count_flattens(monkeypatch)
+        ds = Dataset(3, [make_seq(0, np.array([(3, 1), (1, 0)]))])
+        datasets.step_columns(ds)
+        datasets.step_columns(ds)
+        ds.sequences[0].steps[1] = np.array([2, 1])
+        _, q, a = datasets.step_columns(ds)
+        assert q.tolist() == [3, 2] and a.tolist() == [1, 1]
+        assert len(calls) == 2
+
     def test_bad_dataset_raises_every_call_and_keeps_nothing(self, monkeypatch):
         calls = count_flattens(monkeypatch)
         ds = Dataset(3, [make_seq(0, [(1, 1), (1.5, 0)])])

@@ -401,6 +401,9 @@ class TestRunExperiment:
         aucs = [t["auc"] for t in doc["trials"]]
         assert aucs[0] == aucs[1] == aucs[2]
         assert doc["std"]["auc"] == 0.0
+        # equal rows, but each its own dict
+        doc["trials"][0]["auc"] = None
+        assert doc["trials"][1]["auc"] == aucs[1]
 
     def test_report_byte_identical_across_runs(self, rng):
         ds = tiny_dataset(rng, n_seqs=14)
