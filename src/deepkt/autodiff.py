@@ -416,14 +416,20 @@ def memory_write(mem: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor) -> Tens
 # in place.
 
 
-def _time_blocks(lengths, S):
-    """Return (order, blocks): step k is a block (lo, hi) whose cells
-    ``order[lo:hi]`` are the k-th cells of the hi - lo longest rows, longest
-    first (ties in row order)."""
+def _row_lengths(lengths, S):
+    """``lengths`` as int64, checked to be one count >= 0 per row summing to S."""
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != S:
         raise ShapeMismatchError(
             f"scan lengths must be one count >= 0 per row, summing to {S} cells")
+    return lengths
+
+
+def _time_blocks(lengths, S):
+    """Return (order, blocks): step k is a block (lo, hi) whose cells
+    ``order[lo:hi]`` are the k-th cells of the hi - lo longest rows, longest
+    first (ties in row order)."""
+    lengths = _row_lengths(lengths, S)
     rank = np.argsort(-lengths, kind="stable")
     longest = int(lengths.max(initial=0))
     # rows with a k-th cell: the ranked lengths are descending
@@ -444,6 +450,11 @@ def _table_ids(ids, rows):
     return ids
 
 
+# no-grad memory scans run their rows in groups of about this many bytes of
+# live memory, so that each group's state stays in a core's cache
+GROUP_BYTES = 1 << 18
+
+
 def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
                 ids, lengths) -> Tensor:
     """DKVMN value-memory recurrence; returns the S x d read vectors.
@@ -452,13 +463,18 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     their row j = ids[s].  Each row's memory starts as mem0 (N x d).  Cell s
     reads its row's memory before writing it:
         r[s]   = sum_i w[j,i] * M[i]
-        M[i]  <- M[i] * (1 - w[j,i] * erase[j]) + w[j,i] * add_vec[j]
-    (computed as M[i] - w[j,i] * (M[i] * erase[j] - add_vec[j])).  Each
-    block's reads go straight to their cells' rows.  When a gradient is
-    needed, forward gathers the cells' inputs in time order once and keeps
-    the memory each cell read, since the reverse-scan backward re-reads both
-    block by block.  Without one, each block reads its rows from the tables
-    and only the live batch memory is held.
+        M[i]  <- M[i] * keep[j,i] + put[j,i]
+    with keep = 1 - w (x) erase and put = w (x) add_vec.  When the two
+    P x N x d factor tables are no larger than the S x d output (2PN <= S)
+    they are built once per call and each block gathers its rows from them;
+    otherwise each block forms its rows into a reused buffer.  Both give the
+    same bits.  Each block's reads go straight to their cells' rows.
+
+    When a gradient is needed, all rows run as one group: forward gathers
+    the cells' inputs in time order once and keeps the memory each cell
+    read, since the reverse-scan backward re-reads both block by block.
+    Without one, rows never interact, so they run in groups of about
+    GROUP_BYTES of memory, each with its own time blocks and live memory.
     """
     P, N = w.shape
     d = mem0.cols
@@ -468,31 +484,46 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
             f"a {add_vec.shape}")
     ids = _table_ids(ids, P)
     S = len(ids)
-    order, blocks = _time_blocks(lengths, S)
+    lengths = _row_lengths(lengths, S)
     B = len(lengths)
-    mem = np.tile(mem0.data, (B, 1, 1))
     save = _needs_grad((mem0, w, erase, add_vec))
-    if save:
-        rows = ids[order]
-        ws, es, as_ = w.data[rows], erase.data[rows], add_vec.data[rows]
-        before = np.empty((S, N, d))   # the memory each cell read
+    tables = 2 * P * N <= S
+    if tables:
+        keep = np.einsum("pn,pd->pnd", w.data, erase.data)
+        np.subtract(1.0, keep, out=keep)
+        put = np.einsum("pn,pd->pnd", w.data, add_vec.data)
+    size = max(1, B if save else min(B, GROUP_BYTES // (8 * N * d)))
+    mem, buf = np.empty((size, N, d)), np.empty((size, N, d))
+    first = np.r_[0, np.cumsum(lengths)]     # row b owns cells first[b]:first[b + 1]
     reads = np.empty((S, d))
-    buf = np.empty((B, N, d))
-    for lo, hi in blocks:
-        cells, m = order[lo:hi], mem[:hi - lo]
+    for g0 in range(0, max(B, 1), size):
+        g1 = min(g0 + size, B)
+        order, blocks = _time_blocks(lengths[g0:g1], first[g1] - first[g0])
+        order += first[g0]
+        rows = ids[order]
         if save:
-            wb, eb, ab = ws[lo:hi], es[lo:hi], as_[lo:hi]
-            before[lo:hi] = m
-        else:
-            j = ids[cells]
-            wb, eb, ab = w.data[j], erase.data[j], add_vec.data[j]
-        reads[cells] = np.matmul(wb[:, None, :], m)[:, 0, :]
-        # M - w (M e - a), in place
-        delta = np.multiply(m, eb[:, None, :], out=buf[:hi - lo])
-        delta -= ab[:, None, :]
-        delta *= wb[:, :, None]
-        m -= delta
+            ws, es, as_ = w.data[rows], erase.data[rows], add_vec.data[rows]
+            before = np.empty((S, N, d))   # the memory each cell read
+        mem[:] = mem0.data
+        for lo, hi in blocks:
+            m, f, j = mem[:hi - lo], buf[:hi - lo], rows[lo:hi]
+            if save:
+                wb, eb, ab = ws[lo:hi], es[lo:hi], as_[lo:hi]
+                before[lo:hi] = m
+            elif tables:
+                wb = w.data[j]
+            else:
+                wb, eb, ab = w.data[j], erase.data[j], add_vec.data[j]
+            reads[order[lo:hi]] = np.matmul(wb[:, None, :], m)[:, 0, :]
+            if tables:    # ids are checked, and "clip" skips take's buffering
+                m *= np.take(keep, j, axis=0, out=f, mode="clip")
+                m += np.take(put, j, axis=0, out=f, mode="clip")
+            else:
+                np.einsum("bn,bd->bnd", wb, eb, out=f)
+                m *= np.subtract(1.0, f, out=f)
+                m += np.einsum("bn,bd->bnd", wb, ab, out=f)
 
+    # with a gradient there is one group, so order and blocks cover all rows
     def backward(g, out):
         gs = g[order]
         gmem = np.zeros((B, N, d))   # d loss / d memory after a step
@@ -551,6 +582,10 @@ def lstm_scan(x: Tensor, ids, w_h: Tensor, lengths) -> Tensor:
     half[2 * hs:3 * hs] = 1.0           # the cell gate is a plain tanh
     shift = 1.0 - half                  # sigmoid = half * tanh + 1/2
     w_half = w_h.data * half
+    # halve the x table once when that copy is no larger than the S x h
+    # output, else each block's gathered rows: the products are the same
+    halved = 4 * P <= S
+    x_in = x.data * half if halved else x.data
     h_state, c_state = np.zeros((B, hs)), np.zeros((B, hs))
     save = _needs_grad((x, w_h))
     if save:
@@ -559,8 +594,9 @@ def lstm_scan(x: Tensor, ids, w_h: Tensor, lengths) -> Tensor:
     h_out = np.empty((S, hs))
     for lo, hi in blocks:
         cells, h, c = order[lo:hi], h_state[:hi - lo], c_state[:hi - lo]
-        gt = x.data[ids[cells]]
-        gt *= half
+        gt = x_in[ids[cells]]
+        if not halved:
+            gt *= half
         gt += h @ w_half
         np.tanh(gt, out=gt)
         gt *= half

@@ -31,9 +31,15 @@ def irt_predict(theta_i, beta_j):
 
 def lookup(table: dict, keys, default: float = 0.0):
     """``table[k]`` for each k of the scalar or array ``keys``; absent: ``default``."""
+    return _lookups((table,), keys, default)[0]
+
+
+def _lookups(tables, keys, default: float = 0.0):
+    """``lookup`` of each table, through one ``np.unique`` of ``keys``."""
     unique, inverse = np.unique(keys, return_inverse=True)
-    values = np.array([table.get(k, default) for k in unique.tolist()], dtype=np.float64)
-    return values[inverse].reshape(np.shape(keys))
+    unique = unique.tolist()
+    return [np.array([t.get(k, default) for k in unique], dtype=np.float64)[inverse]
+            .reshape(np.shape(keys)) for t in tables]
 
 
 @dataclass
@@ -136,20 +142,18 @@ class PfaFeatures:
         return len(self.skill)
 
 
-def _group_steps(lengths, skill):
-    """(order, starts): the flat steps sorted by (sequence, skill) group, each
-    group in step order, and a mask of the sorted positions that start a
-    group."""
-    # the flat steps run sequence by sequence, so a stable sort by skill alone
-    # keeps each (sequence, skill) group together and in step order; the
-    # narrowest unsigned key lets numpy radix-sort it
+def _group_steps(group, skill):
+    """(order, starts): the steps sorted by (group, skill) group, each group in
+    step order, and a mask of the sorted positions that start a group.
+    ``group`` gives each step's group id, nondecreasing in step order."""
+    # a stable sort by skill alone keeps each (group, skill) group together
+    # and in step order; the narrowest unsigned key lets numpy radix-sort it
     low = skill.min(initial=0)
     key = (skill - low).astype(np.min_scalar_type(int(skill.max(initial=0) - low)))
     order = np.argsort(key, kind="stable")
-    sequence = np.repeat(np.arange(len(lengths)), lengths)[order]
-    k = skill[order]
+    g, k = group[order], skill[order]
     starts = np.ones(len(k), dtype=bool)
-    starts[1:] = (k[1:] != k[:-1]) | (sequence[1:] != sequence[:-1])
+    starts[1:] = (k[1:] != k[:-1]) | (g[1:] != g[:-1])
     return order, starts
 
 
@@ -158,7 +162,7 @@ def build_pfa_features(data) -> PfaFeatures:
     by the same student, in step order, for a Dataset or a list of sequences."""
     lengths, skill, a = step_columns(data)
     n = len(skill)
-    order, starts = _group_steps(lengths, skill)
+    order, starts = _group_steps(np.repeat(np.arange(len(lengths)), lengths), skill)
     # prior attempts and prior successes within the group: the position and the
     # sum of a before the step, each less its value at the group's first step
     pos = np.arange(n)
@@ -291,14 +295,15 @@ def _score_skills(z, skill, fitted: dict, model: str):
 
 def pfa_predict(coeffs: PfaCoeffs, successes, failures, skill):
     """PFA P(correct) for scalars or equal-shape arrays of counts and skills."""
-    alpha, rho, beta = (lookup(t, skill) for t in (coeffs.alpha, coeffs.rho, coeffs.beta))
+    alpha, rho, beta = _lookups((coeffs.alpha, coeffs.rho, coeffs.beta), skill)
     return _score_skills(alpha * successes + rho * failures - beta, skill,
                          coeffs.alpha, "PFA")
 
 
 def lfa_predict(coeffs: LfaCoeffs, attempts, skill):
     """LFA P(correct) for scalars or equal-shape arrays of attempts and skills."""
-    z = coeffs.theta + lookup(coeffs.gamma, skill) * attempts - lookup(coeffs.beta, skill)
+    gamma, beta = _lookups((coeffs.gamma, coeffs.beta), skill)
+    z = coeffs.theta + gamma * attempts - beta
     return _score_skills(z, skill, coeffs.gamma, "LFA")
 
 
@@ -307,17 +312,24 @@ def lfa_predict(coeffs: LfaCoeffs, attempts, skill):
 
 
 def first_attempts(data) -> FirstAttempts:
-    """Each sequence's first try at each question it asked, in step order, for a
-    Dataset or a list of sequences."""
+    """Each student's first try at each question it asked, in step order, for a
+    Dataset or a list of sequences; a student with several sequences has its
+    earliest try in dataset order."""
     lengths, q, a = step_columns(data)
-    order, starts = _group_steps(lengths, q)
-    first = np.sort(order[starts])
     sequences = data.sequences if isinstance(data, Dataset) else data
     # an empty sequence has no attempts, so its id is no student
     ids = [seq.student_id for seq, n in zip(sequences, lengths.tolist()) if n]
     students, student = np.unique(ids, return_inverse=True)
-    return FirstAttempts(students, np.repeat(student, lengths[lengths > 0])[first],
-                         q[first], a[first])
+    # lay each student's sequences side by side, in dataset order: step i of
+    # that layout is step perm[i] of the data
+    lengths = lengths[lengths > 0]
+    by_student = np.argsort(student, kind="stable")
+    moved = lengths[by_student]
+    shift = (np.cumsum(lengths) - lengths)[by_student] - (np.cumsum(moved) - moved)
+    perm = np.arange(len(q)) + np.repeat(shift, moved)
+    order, starts = _group_steps(np.repeat(student[by_student], moved), q[perm])
+    first = np.sort(perm[order[starts]])
+    return FirstAttempts(students, np.repeat(student, lengths)[first], q[first], a[first])
 
 
 def item_analysis(data, min_students: int = 10) -> dict:

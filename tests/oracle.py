@@ -231,12 +231,13 @@ def build_pfa_features_loop(seqs):
 
 
 def first_attempts_loop(seqs):
-    """(student, question, answer) triples of each sequence's first try at each
-    question, kept in a seen-set per sequence, step by step."""
+    """(student, question, answer) triples of each student's first try at each
+    question, kept in a seen-set per student, step by step in dataset order."""
     triples = []
     questions = set()
+    seen_by = {}
     for seq in seqs:
-        seen = set()
+        seen = seen_by.setdefault(seq.student_id, set())
         for q, a in seq.steps:
             if a not in (0, 1):
                 raise ValidationError(NOT_A_BIT.format(a))

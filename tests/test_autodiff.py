@@ -402,6 +402,20 @@ class TestLstmScan:
 
         check_gradients(loss_fn, [x, w_h], rng, n_samples=30, rtol=1e-6)
 
+    def test_halved_table_equals_halved_rows_exactly(self, rng):
+        # 4P <= S halves the x table once; P = S halves each block's rows
+        lengths, P = [9, 0, 7, 12, 5], 4
+        S = sum(lengths)
+        x, w_h = self.inputs(rng, [P])
+        ids = rng.integers(0, P, size=S)
+        assert 4 * P <= S
+        on_table = ad.lstm_scan(x, ids, w_h, lengths)
+        per_block = ad.lstm_scan(Tensor(x.data[ids]), np.arange(S), w_h, lengths)
+        np.testing.assert_array_equal(on_table.data, per_block.data)
+        with ad.no_grad():
+            np.testing.assert_array_equal(ad.lstm_scan(x, ids, w_h, lengths).data,
+                                          on_table.data)
+
     def test_shape_check(self, rng):
         x, _ = self.inputs(rng, [2])
         with pytest.raises(ShapeMismatchError):
@@ -513,6 +527,91 @@ class TestTableIds:
             ad.memory_scan(mem0, w, e, a, ids, self.LENGTHS)
         with pytest.raises(ad.IndexOutOfRangeError, match=f"scan id {bad} "):
             ad.lstm_scan(x, ids, w_h, self.LENGTHS)
+
+
+class TestFactorTables:
+    """memory_scan writes M * keep + put with keep = 1 - w (x) erase and
+    put = w (x) add: read from per-interaction tables when they are no larger
+    than the output (2PN <= S), else formed block by block.  Without a
+    gradient the rows run in groups of about GROUP_BYTES of memory."""
+
+    # 20 ragged rows, three of them empty: 261 cells
+    LENGTHS = [0, 25, 3, 30, 17, 0, 8, 30, 1, 12, 22, 0, 5, 28, 14, 9, 30, 2, 19, 6]
+
+    def tables(self, rng, P, N, d):
+        mem0 = Tensor(rng.normal(size=(N, d)), requires_grad=True)
+        w = Tensor(rng.dirichlet(np.ones(N), size=P), requires_grad=True)
+        e = Tensor(rng.random(size=(P, d)), requires_grad=True)
+        a = Tensor(rng.normal(size=(P, d)), requires_grad=True)
+        return mem0, w, e, a
+
+    def test_table_side_equals_per_block_side_exactly(self, rng):
+        lengths, N, d, P = [9, 0, 7, 12, 5], 3, 4, 4
+        S = sum(lengths)
+        ids = rng.integers(0, P, size=S)
+        assert 2 * P * N <= S    # the table side; P = S is the per-block side
+        mem0, w, e, a = self.tables(rng, P, N, d)
+        target = rng.normal(size=(S, d))
+
+        def scan(tables, ids):
+            return ad.memory_scan(mem0, *tables, ids, lengths)
+
+        on_tables = scan((w, e, a), ids)
+        per_block = scan([ad.gather_rows(t, ids + 1) for t in (w, e, a)], np.arange(S))
+        np.testing.assert_array_equal(on_tables.data, per_block.data)
+        with ad.no_grad():
+            np.testing.assert_array_equal(scan((w, e, a), ids).data, on_tables.data)
+            np.testing.assert_array_equal(
+                scan([Tensor(t.data[ids]) for t in (w, e, a)], np.arange(S)).data,
+                on_tables.data)
+        params = [w, e, a, mem0]
+        direct = TestTableIds().scan_grads(scan, params, [w, e, a], ids, False, target)
+        gathered = TestTableIds().scan_grads(scan, params, [w, e, a], ids, True, target)
+        for g_direct, g_gathered in zip(direct, gathered):
+            np.testing.assert_array_equal(g_direct, g_gathered)
+
+    @pytest.mark.parametrize("P", [2, 261], ids=["tables", "per-block"])
+    def test_row_groups_equal_grad_path_and_cell_loop(self, rng, P):
+        N = d = 64
+        lengths, S = self.LENGTHS, sum(self.LENGTHS)
+        assert ad.GROUP_BYTES // (8 * N * d) == 8 < len(lengths)
+        assert (2 * P * N <= S) == (P == 2)
+        mem0, w, e, a = self.tables(rng, P, N, d)
+        ids = rng.integers(0, P, size=S) if P < S else np.arange(S)
+        with_grad = ad.memory_scan(mem0, w, e, a, ids, lengths)
+        with ad.no_grad():
+            grouped = ad.memory_scan(mem0, w, e, a, ids, lengths)
+        np.testing.assert_array_equal(grouped.data, with_grad.data)
+        rows, cols = ragged_cells(lengths, max(lengths))
+        expect = memory_scan_loop(mem0.data, w.data[ids], e.data[ids], a.data[ids],
+                                  rows, cols, len(lengths))
+        np.testing.assert_allclose(grouped.data, expect, atol=1e-12)
+
+    def test_no_grad_peak_on_the_table_side(self, rng):
+        # many rows: memory for the whole batch would outweigh the tables and
+        # two buffers of one group
+        B, L, N, d, P = 256, 50, 32, 32, 50
+        S = B * L
+        group = ad.GROUP_BYTES // (8 * N * d)
+        assert 2 * P * N <= S and group < B
+        mem0, w, e, a = self.tables(rng, P, N, d)
+        ids, lengths = rng.integers(0, P, size=S), [L] * B
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        time_order = peak_bytes(lambda: ad._time_blocks(lengths, S))
+        with ad.no_grad():
+            peak = peak_bytes(lambda: ad.memory_scan(mem0, w, e, a, ids, lengths))
+        out_bytes, table_bytes = S * d * 8, 2 * P * N * d * 8
+        bound = out_bytes + table_bytes + 2 * group * N * d * 8 + time_order
+        assert bound < out_bytes + table_bytes + 2 * B * N * d * 8
+        assert peak < bound, (peak, bound)
 
 
 class TestNoGrad:

@@ -439,6 +439,11 @@ FIRST_ATTEMPT_CASES = [
                     seq(1, [(7, 0), (100000, 1), (100000, 1)])]),
     ("random-shared-ids", shared_ids(np.random.default_rng(12))),
 ]
+# first tries are per student: student "0"'s second sequence repeats questions
+# it already tried in its first, so it adds none
+FIRST_ATTEMPTS_EXPECTED = {
+    "one-id-two-sequences": [("0", 2, 1), ("0", 1, 0), ("1", 1, 1)],
+}
 
 
 class TestFirstAttempts:
@@ -446,6 +451,8 @@ class TestFirstAttempts:
                              ids=[c[0] for c in FIRST_ATTEMPT_CASES])
     def test_equals_loop(self, name, seqs):
         loop = oracle.first_attempts_loop(seqs)
+        if name in FIRST_ATTEMPTS_EXPECTED:
+            assert loop == FIRST_ATTEMPTS_EXPECTED[name]
         for data in (seqs, Dataset(100000, seqs)):
             fast = first_attempts(data)
             assert list(fast) == loop
