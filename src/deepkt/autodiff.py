@@ -426,10 +426,11 @@ def _row_lengths(lengths, S):
 
 
 def _time_blocks(lengths, S):
-    """Return (order, blocks): step k is a block (lo, hi) whose cells
-    ``order[lo:hi]`` are the k-th cells of the hi - lo longest rows, longest
-    first (ties in row order)."""
-    lengths = _row_lengths(lengths, S)
+    """Return (order, blocks) for row lengths already checked by
+    ``_row_lengths``: step k is a block (lo, hi) whose cells ``order[lo:hi]``
+    are the k-th cells of the hi - lo longest rows, longest first (ties in
+    row order)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
     rank = np.argsort(-lengths, kind="stable")
     longest = int(lengths.max(initial=0))
     # rows with a k-th cell: the ranked lengths are descending
@@ -576,16 +577,13 @@ def lstm_scan(x: Tensor, ids, w_h: Tensor, lengths) -> Tensor:
         raise ShapeMismatchError(f"lstm_scan: x {x.shape}, w_h {w_h.shape}")
     ids = _table_ids(ids, P)
     S = len(ids)
+    lengths = _row_lengths(lengths, S)
     order, blocks = _time_blocks(lengths, S)
     B = len(lengths)
     half = np.full(4 * hs, 0.5)
     half[2 * hs:3 * hs] = 1.0           # the cell gate is a plain tanh
     shift = 1.0 - half                  # sigmoid = half * tanh + 1/2
     w_half = w_h.data * half
-    # halve the x table once when that copy is no larger than the S x h
-    # output, else each block's gathered rows: the products are the same
-    halved = 4 * P <= S
-    x_in = x.data * half if halved else x.data
     h_state, c_state = np.zeros((B, hs)), np.zeros((B, hs))
     save = _needs_grad((x, w_h))
     if save:
@@ -594,9 +592,8 @@ def lstm_scan(x: Tensor, ids, w_h: Tensor, lengths) -> Tensor:
     h_out = np.empty((S, hs))
     for lo, hi in blocks:
         cells, h, c = order[lo:hi], h_state[:hi - lo], c_state[:hi - lo]
-        gt = x_in[ids[cells]]
-        if not halved:
-            gt *= half
+        gt = x.data[ids[cells]]
+        gt *= half
         gt += h @ w_half
         np.tanh(gt, out=gt)
         gt *= half

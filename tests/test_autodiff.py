@@ -402,20 +402,6 @@ class TestLstmScan:
 
         check_gradients(loss_fn, [x, w_h], rng, n_samples=30, rtol=1e-6)
 
-    def test_halved_table_equals_halved_rows_exactly(self, rng):
-        # 4P <= S halves the x table once; P = S halves each block's rows
-        lengths, P = [9, 0, 7, 12, 5], 4
-        S = sum(lengths)
-        x, w_h = self.inputs(rng, [P])
-        ids = rng.integers(0, P, size=S)
-        assert 4 * P <= S
-        on_table = ad.lstm_scan(x, ids, w_h, lengths)
-        per_block = ad.lstm_scan(Tensor(x.data[ids]), np.arange(S), w_h, lengths)
-        np.testing.assert_array_equal(on_table.data, per_block.data)
-        with ad.no_grad():
-            np.testing.assert_array_equal(ad.lstm_scan(x, ids, w_h, lengths).data,
-                                          on_table.data)
-
     def test_shape_check(self, rng):
         x, _ = self.inputs(rng, [2])
         with pytest.raises(ShapeMismatchError):
