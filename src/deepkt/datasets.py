@@ -4,8 +4,8 @@ synthetic student generator."""
 from __future__ import annotations
 
 import csv
-from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -24,28 +24,40 @@ class ValidationError(ValueError):
     """Input data failed a precondition."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class InteractionSequence:
     """One student's ordered (question id, answer bit) pairs."""
     student_id: str
-    steps: list  # list of (q, a) with q in [1, Q], a in {0, 1}
+    steps: tuple  # (q, a) pairs, q in [1, Q] and a in {0, 1}; kept as a tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
 
     def __len__(self):
         return len(self.steps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Sequences over questions 1..num_kcs.  ``step_columns`` keeps their
-    validated columns and reuses them while the sequences hold equal steps."""
+    """Sequences over questions 1..num_kcs; any iterable is kept as a tuple."""
     num_kcs: int
-    sequences: list
+    sequences: tuple
     name: str = ""
-    # (a copy of each sequence's steps list, their step_columns), set on first use
-    _columns: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sequences", tuple(self.sequences))
 
     def __len__(self):
         return len(self.sequences)
+
+    @cached_property
+    def columns(self):
+        """Read-only ``flatten_steps`` of the sequences, built on first use; a
+        failed check keeps nothing."""
+        columns = flatten_steps(self.sequences)
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
 
 @dataclass
@@ -128,7 +140,7 @@ def load_sequences(path, num_kcs: int | None = None, name: str | None = None) ->
         if n == 0:
             raise ValidationError(f"{path}:{rec + 1}: empty sequence")
         max_q = max(max_q, max(qs))
-        sequences.append(InteractionSequence(str(rec // 3), list(zip(qs, ans))))
+        sequences.append(InteractionSequence(str(rec // 3), zip(qs, ans)))
     q_total = max_q if num_kcs is None else num_kcs
     if q_total < max_q:
         raise ValidationError(f"num_kcs={q_total} below max question id {max_q}")
@@ -193,31 +205,9 @@ def flatten_steps(seqs):
 
 
 def step_columns(data):
-    """``flatten_steps`` of a Dataset's sequences or of a list of sequences.
-    A Dataset keeps its read-only columns with a copy of each sequence's steps
-    list and reuses them while every steps list still equals its copy, so an
-    unedited dataset is flattened and checked once and any edit to its
-    sequences or their steps lists is picked up; a failed check keeps
-    nothing.  A mutable step changed in place (a list or array step) is not
-    seen."""
-    if not isinstance(data, Dataset):
-        return flatten_steps(data)
-    steps = [seq.steps for seq in data.sequences]
-    if data._columns is None or not _equal(data._columns[0], steps):
-        columns = flatten_steps(data.sequences)
-        for column in columns:
-            column.flags.writeable = False
-        data._columns = ([copy(s) for s in steps], columns)
-    return data._columns[1]
-
-
-def _equal(kept, steps):
-    """Whether two lists of steps lists are equal; steps that cannot be
-    compared as one truth value (numpy arrays) count as unequal."""
-    try:
-        return kept == steps
-    except ValueError:
-        return False
+    """``flatten_steps`` of a Dataset's sequences, kept on the Dataset
+    (``Dataset.columns``), or of a list of sequences, built on every call."""
+    return data.columns if isinstance(data, Dataset) else flatten_steps(data)
 
 
 def _question_ids(q):
@@ -318,7 +308,7 @@ def generate_synthetic(cfg: SyntheticConfig):
         z = theta_i[concept - 1] - beta
         p = cfg.guess_c + (1.0 - cfg.guess_c) / (1.0 + np.exp(-z))
         a = (srng.random(cfg.num_questions) < p).astype(int)
-        steps = [(j + 1, int(a[j])) for j in range(cfg.num_questions)]
+        steps = zip(range(1, cfg.num_questions + 1), a.tolist())
         sequences.append(InteractionSequence(str(i), steps))
     ds = Dataset(num_kcs=cfg.num_questions, sequences=sequences, name="synthetic")
     gt = SyntheticGroundTruth(question_concept=concept, beta=beta, theta=theta)

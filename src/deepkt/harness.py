@@ -11,8 +11,7 @@ import numpy as np
 
 from . import baselines, metrics, models
 from .autodiff import AdamState, adam_step, backward, clip_global_norm, no_grad
-from .datasets import (Dataset, ValidationError, kfold, pad_and_mask, split_train_test,
-                       step_columns)
+from .datasets import Dataset, ValidationError, kfold, pad_and_mask, split_train_test
 from .metrics import PredictionSet, aggregate_trials, trial_metrics
 
 BASELINE_MODELS = ("pfa", "lfa", "irt", "item_analysis")
@@ -124,8 +123,8 @@ def train(config: TrainConfig, dataset: Dataset):
 def evaluate(params, dataset: Dataset, config: TrainConfig,
              eval_batch: int = 200) -> PredictionSet:
     """Forward the whole dataset (no training, no graph) and flatten scored
-    steps."""
-    scores, labels = [], []
+    steps; a dataset with no steps gives an empty set."""
+    scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     seqs = dataset.sequences
     for idx in _batches(len(seqs), eval_batch):
         batch = pad_and_mask([seqs[i] for i in idx], config.seq_len, dataset.num_kcs)
@@ -143,8 +142,7 @@ def evaluate(params, dataset: Dataset, config: TrainConfig,
 def evaluate_baseline(model: str, train_ds: Dataset, test_ds: Dataset,
                       min_students: int = 10) -> PredictionSet:
     """Fit a classical model on the train split and score test steps online.
-    A split scored again with its steps unedited is not flattened again
-    (``datasets.step_columns``)."""
+    Each split is flattened once, on first use (``Dataset.columns``)."""
     if model in ("pfa", "lfa"):
         test = baselines.build_pfa_features(test_ds)
         coeffs = baselines.fit_logistic(baselines.build_pfa_features(train_ds),
@@ -154,7 +152,7 @@ def evaluate_baseline(model: str, train_ds: Dataset, test_ds: Dataset,
                   baselines.lfa_predict(coeffs, test.successes + test.failures, test.skill))
         return PredictionSet(scores, test.label)
     # IRT and item analysis score a step by its question alone
-    _, skill, label = step_columns(test_ds)
+    _, skill, label = test_ds.columns
     if model == "irt":
         fit = baselines.fit_irt(baselines.first_attempts(train_ds))
         # test students are cold (theta unknown): use the anchored mean 0;

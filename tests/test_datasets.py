@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -44,14 +46,14 @@ class TestLoadSequences:
         path.write_text("2\n3,7\n1,0\n")
         ds = load_sequences(path)
         assert len(ds.sequences) == 1
-        assert ds.sequences[0].steps == [(3, 1), (7, 0)]
+        assert ds.sequences[0].steps == ((3, 1), (7, 0))
         assert ds.num_kcs == 7
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
         ds = load_sequences(path)
-        assert ds.sequences == [] and ds.num_kcs == 0
+        assert ds.sequences == () and ds.num_kcs == 0
 
     def test_count_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -239,61 +241,6 @@ class TestStepColumns:
         datasets.step_columns(seqs)
         assert calls == [1, 1]
 
-    def test_rebinding_sequences_recomputes(self, monkeypatch):
-        calls = count_flattens(monkeypatch)
-        ds = Dataset(3, [make_seq(0, [(1, 1)])])
-        datasets.step_columns(ds)
-        ds.sequences = [make_seq(0, [(2, 0), (3, 1)])]
-        _, q, a = datasets.step_columns(ds)
-        assert calls == [1, 1]
-        assert q.tolist() == [2, 3] and a.tolist() == [0, 1]
-
-    @pytest.mark.parametrize("edit", [
-        lambda seqs: seqs.append(make_seq(9, [(3, 1)])),
-        lambda seqs: seqs.pop(0),
-        lambda seqs: seqs.__setitem__(1, make_seq(1, [(3, 1)])),
-        lambda seqs: seqs[0].steps.append((3, 1)),
-        lambda seqs: seqs[0].steps.__setitem__(1, (3, 1)),
-        lambda seqs: setattr(seqs[1], "steps", [(3, 0)]),
-    ], ids=["append", "pop", "replace-sequence", "append-step", "replace-step",
-            "rebind-steps"])
-    def test_edit_in_place_recomputes(self, monkeypatch, edit):
-        calls = count_flattens(monkeypatch)
-        ds = Dataset(3, [make_seq(0, [(3, 1), (1, 0)]), make_seq(1, [(2, 1)])])
-        datasets.step_columns(ds)
-        edit(ds.sequences)
-        got = datasets.step_columns(ds)
-        assert datasets.step_columns(ds) is got
-        assert len(calls) == 2
-        for got, want in zip(got, datasets.flatten_steps(ds.sequences)):
-            np.testing.assert_array_equal(got, want)
-
-    def test_edit_to_a_bad_step_raises(self):
-        ds = Dataset(3, [make_seq(0, [(3, 1), (1, 0)])])
-        datasets.step_columns(ds)
-        ds.sequences[0].steps[1] = (1.5, 0)
-        with pytest.raises(ValidationError, match="1.5 is not an integer"):
-            datasets.step_columns(ds)
-
-    def test_equal_steps_reuse_the_columns(self, monkeypatch):
-        calls = count_flattens(monkeypatch)
-        ds = Dataset(3, [make_seq(0, [(3, 1), (1, 0)])])
-        first = datasets.step_columns(ds)
-        ds.sequences = [make_seq(0, [(3, 1), (1, 0)])]
-        assert datasets.step_columns(ds) is first
-        assert len(calls) == 1
-
-    def test_array_step_replaced_recomputes(self, monkeypatch):
-        # a different array step cannot be compared as one truth value
-        calls = count_flattens(monkeypatch)
-        ds = Dataset(3, [make_seq(0, np.array([(3, 1), (1, 0)]))])
-        datasets.step_columns(ds)
-        datasets.step_columns(ds)
-        ds.sequences[0].steps[1] = np.array([2, 1])
-        _, q, a = datasets.step_columns(ds)
-        assert q.tolist() == [3, 2] and a.tolist() == [1, 1]
-        assert len(calls) == 2
-
     def test_bad_dataset_raises_every_call_and_keeps_nothing(self, monkeypatch):
         calls = count_flattens(monkeypatch)
         ds = Dataset(3, [make_seq(0, [(1, 1), (1.5, 0)])])
@@ -301,8 +248,29 @@ class TestStepColumns:
             with pytest.raises(ValidationError, match="1.5 is not an integer"):
                 datasets.step_columns(ds)
         assert calls == [1, 1]
-        assert ds._columns is None
+        assert "columns" not in vars(ds)
         assert ds == Dataset(3, [make_seq(0, [(1, 1), (1.5, 0)])])
+
+    def test_frozen_with_tuples_of_what_was_passed(self):
+        steps = [(3, 1), (1, 0)]
+        seqs = [InteractionSequence("0", steps)]
+        ds = Dataset(3, seqs)
+        zipped = InteractionSequence("z", zip([2, 3], [0, 1]))
+        assert type(ds.sequences) is tuple and ds.sequences == (seqs[0],)
+        assert type(seqs[0].steps) is tuple and type(zipped.steps) is tuple
+        assert zipped.steps == ((2, 0), (3, 1))
+        for obj, name, value in ((ds, "num_kcs", 4), (ds, "sequences", []),
+                                 (ds, "name", "x"), (ds, "columns", None),
+                                 (seqs[0], "student_id", "1"), (seqs[0], "steps", [])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        columns = ds.columns
+        steps.append((2, 0))
+        seqs.append(make_seq(1, [(2, 1)]))
+        seqs[0] = make_seq(0, [(2, 0)])
+        assert ds == Dataset(3, [make_seq(0, [(3, 1), (1, 0)])])
+        assert ds.columns is columns
+        assert [c.tolist() for c in columns] == [[2], [3, 1], [1, 0]]
 
 
 class TestSplits:
@@ -359,6 +327,16 @@ class TestSplits:
 
 
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "44c4b3cd0977c528a789273a7f3fe62ae47c36b6f388c83e0736ec353707e4c5"),
+        (1, "9f591ce279f341bf15c7d2d7bee3a05878e97f5defc521fa729e23d9c3f28b39"),
+        (2, "27db09083dd34ea02116b135b3936afa498f7e0d9e3350f27b88601feb9f0532"),
+    ])
+    def test_default_files_pinned(self, tmp_path, seed, digest):
+        ds, _ = generate_synthetic(SyntheticConfig(seed=seed))
+        save_sequences(ds, tmp_path / "synthetic.txt")
+        assert hashlib.sha256((tmp_path / "synthetic.txt").read_bytes()).hexdigest() == digest
+
     def test_same_seed_bit_identical(self):
         cfg = SyntheticConfig(num_students=20, num_questions=10, num_concepts=3, seed=9)
         ds1, gt1 = generate_synthetic(cfg)

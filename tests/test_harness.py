@@ -208,6 +208,16 @@ class TestTrain:
         assert peak < bound < grad_peak
 
     @pytest.mark.parametrize("model", models.KINDS)
+    @pytest.mark.parametrize("seqs", [[], [InteractionSequence("s", [])]],
+                             ids=["no-sequences", "one-empty-sequence"])
+    def test_evaluate_without_steps_is_empty(self, model, seqs):
+        cfg = tiny_config(model=model)
+        params = models.init_params(models.make_arch(model, 4, asdict(cfg)), seed=0)
+        pred = evaluate(params, Dataset(4, seqs), cfg)
+        assert pred.scores.shape == pred.labels.shape == (0,)
+        assert (pred.scores.dtype, pred.labels.dtype) == (np.float64, np.int64)
+
+    @pytest.mark.parametrize("model", models.KINDS)
     def test_evaluate_ignores_the_dataset_bank_size(self, rng, model):
         # the model's own Q encodes the interactions, so a dataset that
         # declares a smaller bank over the same steps scores the same
@@ -263,7 +273,7 @@ class TestBaselineEvaluation:
     def test_matches_per_step_scoring_with_unseen_skill(self, rng, model):
         # skill 4 and question 4 never occur in the train split
         tr, te = self.make_splits(rng)
-        te = te + [InteractionSequence("new", [(4, 1), (1, 0), (4, 0), (4, 1)])]
+        te = [*te, InteractionSequence("new", [(4, 1), (1, 0), (4, 0), (4, 1)])]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             pred = evaluate_baseline(model, Dataset(4, tr), Dataset(4, te),
@@ -333,7 +343,7 @@ def step_readers(good, bad):
 ], ids=["fraction", "inf", "zero", "past_2_53", "answer_2"])
 def test_every_step_reader_rejects_a_bad_step_alike(rng, step, error, message):
     good = tiny_dataset(rng, n_seqs=6, num_kcs=3).sequences
-    bad = good[:3] + [InteractionSequence("bad", [(1, 0), step, (2, 1)])]
+    bad = [*good[:3], InteractionSequence("bad", [(1, 0), step, (2, 1)])]
     for read in step_readers(good, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
