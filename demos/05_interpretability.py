@@ -26,7 +26,7 @@ print(f"corr(learned beta, generator beta) = "
       f"{pearson([learned[j + 1] for j in range(20)], gt.beta):.3f}")
 
 # Cross-validate against a classical source via the export helper.
-joins = {"item_analysis": item_analysis(train_ds.sequences, min_students=10)}
+joins = {"item_analysis": item_analysis(train_ds, min_students=10)}
 rows, pairs = export_difficulty(params, joins)
 for (a, b), r in sorted(pairs.items()):
     print(f"pearson({a}, {b}) = {r:.3f}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _sigmoid
-from .datasets import Dataset, ValidationError, step_columns
+from .datasets import Dataset, ValidationError
 
 L2_PENALTY = 1e-4
 MAX_ITERS = 500
@@ -46,31 +46,20 @@ def _lookups(tables, keys, default: float = 0.0):
 class FirstAttempts:
     """(student, question, answer) observations as columns: observation i is
     student ``students[student[i]]`` answering ``question[i]`` with
-    ``answer[i]``; ``students`` holds the distinct ids, sorted.  Iterating
-    gives the observations as triples."""
+    ``answer[i]``; ``students`` holds the distinct ids, sorted."""
     students: np.ndarray
     student: np.ndarray
     question: np.ndarray
     answer: np.ndarray
 
-    @classmethod
-    def from_triples(cls, triples):
-        students, questions, answers = zip(*triples)
-        students, student = np.unique(students, return_inverse=True)
-        return cls(students, student, np.array(questions), np.array(answers))
-
     def __len__(self):
         return len(self.student)
 
-    def __iter__(self):
-        return zip(self.students[self.student].tolist(), self.question.tolist(),
-                   self.answer.tolist())
 
-
-def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
-            tol: float = GRAD_TOL) -> IrtParams:
-    """Penalized maximum likelihood for P = sigmoid(theta_i - beta_j) on a
-    ``FirstAttempts`` or on (student, question, answer) triples.
+def fit_irt(first_attempts: FirstAttempts, l2: float = L2_PENALTY,
+            max_iters: int = MAX_ITERS, tol: float = GRAD_TOL) -> IrtParams:
+    """Penalized maximum likelihood for P = sigmoid(theta_i - beta_j) on the
+    observations of a ``FirstAttempts``.
 
     Ascent uses diagonally preconditioned (per-coordinate Newton) steps on the
     L2-penalized Bernoulli log-likelihood until the gradient norm drops below
@@ -78,8 +67,6 @@ def fit_irt(first_attempts, l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
     """
     if not first_attempts:
         raise ValidationError("fit_irt needs at least one observation")
-    if not isinstance(first_attempts, FirstAttempts):
-        first_attempts = FirstAttempts.from_triples(first_attempts)
     students, si = first_attempts.students, first_attempts.student
     questions, qi = np.unique(first_attempts.question, return_inverse=True)
     y = first_attempts.answer.astype(np.float64)
@@ -157,10 +144,10 @@ def _group_steps(group, skill):
     return order, starts
 
 
-def build_pfa_features(data) -> PfaFeatures:
+def build_pfa_features(data: Dataset) -> PfaFeatures:
     """Each step's skill, answer and prior successes and failures on that skill
-    by the same student, in step order, for a Dataset or a list of sequences."""
-    lengths, skill, a = step_columns(data)
+    by the same student, in step order, read from ``data.columns``."""
+    lengths, skill, a = data.columns
     n = len(skill)
     order, starts = _group_steps(np.repeat(np.arange(len(lengths)), lengths), skill)
     # prior attempts and prior successes within the group: the position and the
@@ -311,14 +298,13 @@ def lfa_predict(coeffs: LfaCoeffs, attempts, skill):
 # item analysis
 
 
-def first_attempts(data) -> FirstAttempts:
-    """Each student's first try at each question it asked, in step order, for a
-    Dataset or a list of sequences; a student with several sequences has its
-    earliest try in dataset order."""
-    lengths, q, a = step_columns(data)
-    sequences = data.sequences if isinstance(data, Dataset) else data
+def first_attempts(data: Dataset) -> FirstAttempts:
+    """Each student's first try at each question it asked, in step order, read
+    from ``data.columns``; a student with several sequences has its earliest
+    try in dataset order."""
+    lengths, q, a = data.columns
     # an empty sequence has no attempts, so its id is no student
-    ids = [seq.student_id for seq, n in zip(sequences, lengths.tolist()) if n]
+    ids = [seq.student_id for seq, n in zip(data.sequences, lengths.tolist()) if n]
     students, student = np.unique(ids, return_inverse=True)
     # lay each student's sequences side by side, in dataset order: step i of
     # that layout is step perm[i] of the data
@@ -332,7 +318,7 @@ def first_attempts(data) -> FirstAttempts:
     return FirstAttempts(students, np.repeat(student, lengths)[first], q[first], a[first])
 
 
-def item_analysis(data, min_students: int = 10) -> dict:
+def item_analysis(data: Dataset, min_students: int = 10) -> dict:
     """Fraction of distinct students whose first attempt was incorrect; questions
     with fewer than ``min_students`` distinct students are omitted."""
     if min_students < 1:

@@ -14,6 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import datasets, harness, models
+from .autodiff import IndexOutOfRangeError
 from .datasets import SequenceParseError, ValidationError
 
 
@@ -26,8 +27,9 @@ def _given(args, cls):
 def _load_config(args) -> harness.TrainConfig:
     d = {}
     if getattr(args, "config", None):
-        d.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    d.update(_given(args, harness.TrainConfig))   # flags win over the config file
+        d = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if isinstance(d, dict):   # from_dict rejects any other JSON value
+        d = {**d, **_given(args, harness.TrainConfig)}   # flags win over the file
     return harness.TrainConfig.from_dict(d)
 
 
@@ -213,8 +215,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, SequenceParseError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, SequenceParseError, IndexOutOfRangeError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -52,9 +52,14 @@ class Dataset:
 
     @cached_property
     def columns(self):
-        """Read-only ``flatten_steps`` of the sequences, built on first use; a
-        failed check keeps nothing."""
+        """Read-only ``flatten_steps`` of the sequences, every question id also
+        at most ``num_kcs``; built on first use, and a failed check keeps
+        nothing.  This is the one check of step data."""
         columns = flatten_steps(self.sequences)
+        high = columns[1] > self.num_kcs
+        if high.any():
+            raise IndexOutOfRangeError(
+                f"question id {columns[1][high][0]} outside [1, {self.num_kcs}]")
         for column in columns:
             column.flags.writeable = False
         return columns
@@ -204,12 +209,6 @@ def flatten_steps(seqs):
     return lengths, whole, a.astype(np.int64)
 
 
-def step_columns(data):
-    """``flatten_steps`` of a Dataset's sequences, kept on the Dataset
-    (``Dataset.columns``), or of a list of sequences, built on every call."""
-    return data.columns if isinstance(data, Dataset) else flatten_steps(data)
-
-
 def _question_ids(q):
     """float64 question ids as int64, checked finite, integral, below 2**53
     (where float64 starts rounding integers) and >= 1."""
@@ -228,14 +227,12 @@ def _question_ids(q):
 def pad_and_mask(seqs, seq_len: int, num_kcs: int) -> PaddedBatch:
     """Chunk each sequence into consecutive pieces of <= seq_len, zero-padded.
 
-    Longer sequences are split (never truncated); padding id is 0.
+    Longer sequences are split (never truncated); padding id is 0.  The steps
+    are checked as ``Dataset(num_kcs, seqs).columns``.
     """
     if seq_len < 1:
         raise ValidationError(f"seq_len must be >= 1, got {seq_len}")
-    lengths, q, a = flatten_steps(seqs)
-    high = q > num_kcs
-    if high.any():
-        raise IndexOutOfRangeError(f"question id {q[high][0]} outside [1, {num_kcs}]")
+    lengths, q, a = Dataset(num_kcs, seqs).columns
     # step t of a sequence lands in its (t // seq_len)-th chunk, column t % seq_len
     chunks = -(-lengths // seq_len)
     t = np.arange(len(q)) - np.repeat(np.cumsum(lengths) - lengths, lengths)

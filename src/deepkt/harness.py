@@ -53,9 +53,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """A validated config from a JSON object of fields; each value must
+        have its field's type, except that an int may set a float."""
+        if not isinstance(d, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(d).__name__}")
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+        for name, value in d.items():
+            kind = type(cls.__dataclass_fields__[name].default)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValidationError(f"{name} must be {kind.__name__}, got {value!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -177,9 +186,12 @@ def grid_search(grid: GridSpec, base_config: TrainConfig, train_set: Dataset):
     """
     if len(train_set.sequences) < base_config.cv_folds:
         raise ValidationError("not enough sequences for cross-validation")
+    runs = [(point, replace(base_config, **point))
+            for point in grid.points(base_config.model)]
+    for _, cfg in runs:   # a bad point fails before any training
+        cfg.validate()
     table = []
-    for pos, point in enumerate(grid.points(base_config.model)):
-        cfg = replace(base_config, **point)
+    for pos, (point, cfg) in enumerate(runs):
         fold_losses = []
         for tr, val in kfold(train_set, cfg.cv_folds, cfg.seed):
             params, _ = train(cfg, tr)

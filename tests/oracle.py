@@ -303,12 +303,12 @@ def evaluate_baseline_per_step(model, train_ds, test_ds, min_students=10):
     """Score each test step with one scalar predictor call, counting the
     student's earlier attempts as they happen."""
     if model in ("pfa", "lfa"):
-        feats = baselines.build_pfa_features(train_ds.sequences)
+        feats = baselines.build_pfa_features(train_ds)
         coeffs = baselines.fit_logistic(feats, design=model.upper())
     elif model == "irt":
-        fit = baselines.fit_irt(baselines.first_attempts(train_ds.sequences))
+        fit = baselines.fit_irt(baselines.first_attempts(train_ds))
     else:
-        diff = baselines.item_analysis(train_ds.sequences, min_students)
+        diff = baselines.item_analysis(train_ds, min_students)
     scores, labels = [], []
     for seq in test_ds.sequences:
         counts = {}

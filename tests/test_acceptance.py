@@ -108,7 +108,7 @@ class TestCriterion4IrtRecovery:
         cfg = SyntheticConfig(num_students=500, num_questions=50,
                               num_concepts=5, guess_c=0.0, seed=0)
         ds, gt = generate_synthetic(cfg)
-        fit = baselines.fit_irt(baselines.first_attempts(ds.sequences))
+        fit = baselines.fit_irt(baselines.first_attempts(ds))
         est = np.array([fit.beta[j + 1] for j in range(50)])
         assert pearson(gt.beta, est) >= 0.9
 

@@ -6,9 +6,9 @@ import pytest
 
 import oracle
 from deepkt import baselines
-from deepkt.baselines import (IrtParams, LfaCoeffs, PfaCoeffs, PfaFeatures,
-                              build_pfa_features, first_attempts, fit_irt,
-                              fit_logistic, irt_predict, item_analysis,
+from deepkt.baselines import (FirstAttempts, IrtParams, LfaCoeffs, PfaCoeffs,
+                              PfaFeatures, build_pfa_features, first_attempts,
+                              fit_irt, fit_logistic, irt_predict, item_analysis,
                               lfa_predict, pfa_predict)
 from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
                              ValidationError, generate_synthetic)
@@ -17,6 +17,27 @@ from deepkt.metrics import pearson
 
 def seq(student, pairs):
     return InteractionSequence(str(student), list(pairs))
+
+
+def data(seqs):
+    """A Dataset of ``seqs`` over a bank that holds every question id here."""
+    return Dataset(100000, seqs)
+
+
+def attempts(triples):
+    """A FirstAttempts of (student, question, answer) triples, in their order."""
+    students, questions, answers = zip(*triples) if triples else ((), (), ())
+    students, student = np.unique(students, return_inverse=True)
+    return FirstAttempts(students, student, np.array(questions, dtype=np.int64),
+                         np.array(answers, dtype=np.int64))
+
+
+def assert_same_attempts(got, want):
+    assert got.students.tolist() == want.students.tolist()
+    for name in ("student", "question", "answer"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                      err_msg=name)
+        assert getattr(got, name).dtype == np.int64, name
 
 
 def sigmoid(x):
@@ -57,7 +78,7 @@ class TestFitIrt:
 
     def test_theta_centered(self, rng):
         _, _, triples = self.crossed_data(rng, 20, 10)
-        fit = fit_irt(triples)
+        fit = fit_irt(attempts(triples))
         assert np.mean(list(fit.theta.values())) == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetric_data_gives_zero_params(self):
@@ -67,7 +88,7 @@ class TestFitIrt:
         for j in range(1, 5):
             triples.append(("a", j, 1))
             triples.append(("b", j, 0))
-        fit = fit_irt(triples)
+        fit = fit_irt(attempts(triples))
         # a and b are exact mirrors, betas identical across questions
         assert fit.theta["a"] == pytest.approx(-fit.theta["b"], abs=1e-6)
         betas = list(fit.beta.values())
@@ -75,7 +96,7 @@ class TestFitIrt:
 
     def test_converges_and_recovers_ranking(self, rng):
         theta, beta, triples = self.crossed_data(rng, 80, 100)
-        fit = fit_irt(triples)
+        fit = fit_irt(attempts(triples))
         assert fit.converged
         est_theta = np.array([fit.theta[f"s{i}"] for i in range(80)])
         est_beta = np.array([fit.beta[j + 1] for j in range(100)])
@@ -86,27 +107,30 @@ class TestFitIrt:
         # question 1 answered right by 3 of 4 students, question 2 by 1 of 4
         triples = [(s, 1, a) for s, a in zip("wxyz", [1, 1, 1, 0])]
         triples += [(s, 2, a) for s, a in zip("wxyz", [1, 0, 0, 0])]
-        fit = fit_irt(triples)
+        fit = fit_irt(attempts(triples))
         assert fit.beta[1] < fit.beta[2]
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            fit_irt([])
+            fit_irt(attempts([]))
 
     def test_non_convergence_warns(self, rng):
         _, _, triples = self.crossed_data(rng, 10, 5)
         with pytest.warns(UserWarning, match="gradient norm"):
-            fit = fit_irt(triples, max_iters=1)
+            fit = fit_irt(attempts(triples), max_iters=1)
         assert not fit.converged
+
+
+SYNTHETIC_SEQS = generate_synthetic(SyntheticConfig(
+    num_students=200, num_questions=25, num_concepts=5, guess_c=0.0,
+    seed=7))[0].sequences
 
 
 def irt_cases():
     """(name, first-attempt triples, max_iters) for the loop comparison."""
     rng = np.random.default_rng(11)
     _, _, crossed = TestFitIrt().crossed_data(rng, 40, 30)
-    cfg = SyntheticConfig(num_students=200, num_questions=25, num_concepts=5,
-                          guess_c=0.0, seed=7)
-    synthetic = first_attempts(generate_synthetic(cfg)[0].sequences)
+    synthetic = oracle.first_attempts_loop(SYNTHETIC_SEQS)
     return [("crossed", crossed, 500), ("crossed-stopped", crossed, 3),
             ("synthetic", synthetic, 500)]
 
@@ -120,7 +144,7 @@ class TestFitIrtMatchesLoop:
     def test_bit_identical(self, name, triples, max_iters):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fast = fit_irt(triples, max_iters=max_iters)
+            fast = fit_irt(attempts(triples), max_iters=max_iters)
             loop = oracle.fit_irt_loop(triples, max_iters=max_iters)
         assert fast.theta == loop.theta and fast.beta == loop.beta
         assert fast.grad_norm == loop.grad_norm
@@ -129,14 +153,14 @@ class TestFitIrtMatchesLoop:
 
 class TestBuildPfaFeatures:
     def test_counts_by_hand(self):
-        feats = build_pfa_features([seq(0, [(1, 1), (1, 0), (2, 1), (1, 1)])])
+        feats = build_pfa_features(data([seq(0, [(1, 1), (1, 0), (2, 1), (1, 1)])]))
         np.testing.assert_array_equal(feats.skill, [1, 1, 2, 1])
         np.testing.assert_array_equal(feats.successes, [0, 1, 0, 1])
         np.testing.assert_array_equal(feats.failures, [0, 0, 0, 1])
         np.testing.assert_array_equal(feats.label, [1, 0, 1, 1])
 
     def test_counts_reset_between_students(self):
-        feats = build_pfa_features([seq(0, [(1, 1)]), seq(1, [(1, 0)])])
+        feats = build_pfa_features(data([seq(0, [(1, 1)]), seq(1, [(1, 0)])]))
         np.testing.assert_array_equal(feats.successes, [0, 0])
         np.testing.assert_array_equal(feats.failures, [0, 0])
 
@@ -146,7 +170,7 @@ class TestBuildPfaFeatures:
             n = int(rng.integers(5, 40))
             seqs.append(seq(i, zip(rng.integers(1, 6, n).tolist(),
                                    rng.integers(0, 2, n).tolist())))
-        feats = build_pfa_features(seqs)
+        feats = build_pfa_features(data(seqs))
         k = 0
         for s in seqs:
             for t, (q, a) in enumerate(s.steps):
@@ -170,7 +194,7 @@ class TestBuildPfaFeatures:
         ("random", random_seqs(np.random.default_rng(8), 40, 6, 30)),
     ])
     def test_equals_loop_bit_for_bit(self, name, seqs):
-        fast = build_pfa_features(seqs)
+        fast = build_pfa_features(data(seqs))
         loop = oracle.build_pfa_features_loop(seqs)
         for field in ("skill", "successes", "failures", "label"):
             got, want = getattr(fast, field), getattr(loop, field)
@@ -182,7 +206,7 @@ class TestFitLogistic:
     def test_intercept_only_recovers_base_rate(self, rng):
         # one skill, no prior attempts: beta is the only active coefficient
         seqs = [seq(i, [(1, int(rng.random() < 0.8))]) for i in range(4000)]
-        feats = build_pfa_features(seqs)
+        feats = build_pfa_features(data(seqs))
         coeffs = fit_logistic(feats, design="PFA")
         rate = feats.label.mean()
         assert sigmoid(-coeffs.beta[1]) == pytest.approx(rate, abs=1e-3)
@@ -224,17 +248,17 @@ class TestFitLogistic:
             a1 = int(rng.random() < 0.9)
             a2 = int(rng.random() < 0.2)
             seqs.append(seq(i, [(1, a1), (2, a2)]))
-        coeffs = fit_logistic(build_pfa_features(seqs), design="PFA")
+        coeffs = fit_logistic(build_pfa_features(data(seqs)), design="PFA")
         assert coeffs.beta[2] > coeffs.beta[1]
 
     def test_unknown_design(self):
-        feats = build_pfa_features([seq(0, [(1, 1)])])
+        feats = build_pfa_features(data([seq(0, [(1, 1)])]))
         with pytest.raises(ValidationError):
             fit_logistic(feats, design="AFM")
 
     @pytest.mark.parametrize("design", ["PFA", "LFA"])
     def test_reports_gradient_norm(self, rng, design):
-        feats = build_pfa_features(random_seqs(rng, 60, 4, 20))
+        feats = build_pfa_features(data(random_seqs(rng, 60, 4, 20)))
         fit = fit_logistic(feats, design=design)
         assert fit.converged and fit.grad_norm < baselines.GRAD_TOL
         with pytest.warns(UserWarning, match="gradient norm"):
@@ -244,7 +268,7 @@ class TestFitLogistic:
     def test_separation_warning(self):
         seqs = [seq(i, [(1, 1)]) for i in range(50)]
         with pytest.warns(UserWarning, match="separation"):
-            fit_logistic(build_pfa_features(seqs), design="PFA")
+            fit_logistic(build_pfa_features(data(seqs)), design="PFA")
 
 
 def until_first_success(rng, n_students, skill, p=0.3):
@@ -300,7 +324,7 @@ class TestBlockNewtonMatchesDense:
     @pytest.mark.parametrize("name,seqs,max_iters", LOGISTIC_CASES,
                              ids=[c[0] for c in LOGISTIC_CASES])
     def test_same_fit(self, design, name, seqs, max_iters):
-        feats = build_pfa_features(seqs)
+        feats = build_pfa_features(data(seqs))
         with warnings.catch_warnings(record=True) as fast_warnings:
             warnings.simplefilter("always")
             fast = fit_logistic(feats, design=design, max_iters=max_iters)
@@ -322,13 +346,13 @@ class TestBlockNewtonMatchesDense:
         # the case list must keep a no-prior-success skill, a separable skill
         # and a fit stopped by max_iters
         by_name = {name: (seqs, it) for name, seqs, it in LOGISTIC_CASES}
-        feats = build_pfa_features(by_name["no-prior-success"][0])
+        feats = build_pfa_features(data(by_name["no-prior-success"][0]))
         assert feats.successes[feats.skill == 5].max() == 0
         for name, want in (("separable", "separation"),
                            ("max-iters-2", "gradient norm")):
             seqs, max_iters = by_name[name]
             with pytest.warns(UserWarning, match=want):
-                fit_logistic(build_pfa_features(seqs), design="PFA",
+                fit_logistic(build_pfa_features(data(seqs)), design="PFA",
                              max_iters=max_iters)
 
 
@@ -438,6 +462,7 @@ FIRST_ATTEMPT_CASES = [
     ("sparse-ids", [seq(0, [(100000, 1), (7, 0), (100000, 0), (7, 1)]),
                     seq(1, [(7, 0), (100000, 1), (100000, 1)])]),
     ("random-shared-ids", shared_ids(np.random.default_rng(12))),
+    ("synthetic", SYNTHETIC_SEQS),
 ]
 # first tries are per student: student "0"'s second sequence repeats questions
 # it already tried in its first, so it adds none
@@ -453,16 +478,15 @@ class TestFirstAttempts:
         loop = oracle.first_attempts_loop(seqs)
         if name in FIRST_ATTEMPTS_EXPECTED:
             assert loop == FIRST_ATTEMPTS_EXPECTED[name]
-        for data in (seqs, Dataset(100000, seqs)):
-            fast = first_attempts(data)
-            assert list(fast) == loop
-            assert len(fast) == len(loop)
-            assert fast.students.tolist() == sorted({t[0] for t in loop})
+        fast = first_attempts(data(seqs))
+        assert_same_attempts(fast, attempts(loop))
+        assert len(fast) == len(loop)
+        assert fast.students.tolist() == sorted({t[0] for t in loop})
 
     @pytest.mark.parametrize("name,seqs", [c for c in FIRST_ATTEMPT_CASES if c[1]],
                              ids=[c[0] for c in FIRST_ATTEMPT_CASES if c[1]])
     def test_fit_irt_bit_identical_to_loops(self, name, seqs):
-        fast = fit_irt(first_attempts(Dataset(100000, seqs)))
+        fast = fit_irt(first_attempts(data(seqs)))
         loop = oracle.fit_irt_loop(oracle.first_attempts_loop(seqs))
         assert fast.theta == loop.theta and fast.beta == loop.beta
         assert fast.grad_norm == loop.grad_norm
@@ -470,37 +494,37 @@ class TestFirstAttempts:
 
 class TestItemAnalysis:
     def test_first_attempts_keep_first_only(self):
-        triples = first_attempts([seq(0, [(1, 0), (1, 1), (2, 1)])])
-        assert list(triples) == [("0", 1, 0), ("0", 2, 1)]
+        tries = first_attempts(data([seq(0, [(1, 0), (1, 1), (2, 1)])]))
+        assert_same_attempts(tries, attempts([("0", 1, 0), ("0", 2, 1)]))
 
     def test_difficulty_fractions(self):
         seqs = [seq(i, [(1, 1 if i < 8 else 0), (2, 1 if i < 2 else 0)])
                 for i in range(10)]
-        diff = item_analysis(seqs, min_students=10)
+        diff = item_analysis(data(seqs), min_students=10)
         assert diff[1] == pytest.approx(0.2)
         assert diff[2] == pytest.approx(0.8)
 
     def test_min_students_filter(self):
         seqs = [seq(i, [(1, 1)]) for i in range(10)] + [seq(99, [(2, 0)])]
-        diff = item_analysis(seqs, min_students=10)
+        diff = item_analysis(data(seqs), min_students=10)
         assert 1 in diff and 2 not in diff
 
     def test_repeat_attempts_ignored(self):
         seqs = [seq(i, [(1, 0), (1, 1), (1, 1)]) for i in range(10)]
-        assert item_analysis(seqs)[1] == 1.0
+        assert item_analysis(data(seqs))[1] == 1.0
 
     def test_invalid_min_students(self):
         with pytest.raises(ValidationError):
-            item_analysis([], min_students=0)
+            item_analysis(data([]), min_students=0)
 
     @pytest.mark.parametrize("steps", [[(1, 7)], [(1, 0), (1, 7)]])
     def test_answer_not_a_bit_rejected(self, steps):
         # a first or a repeated attempt alike
         seqs = [seq(0, [(1, 1), (2, 0)]), seq(1, steps)]
         with pytest.raises(ValidationError, match="answer bit must be 0 or 1, got 7"):
-            fit_irt(first_attempts(seqs))
+            fit_irt(first_attempts(data(seqs)))
         with pytest.raises(ValidationError, match="answer bit must be 0 or 1, got 7"):
-            item_analysis(seqs, 1)
+            item_analysis(data(seqs), 1)
 
 
 class TestSyntheticRecovery:
@@ -509,6 +533,6 @@ class TestSyntheticRecovery:
         cfg = SyntheticConfig(num_students=400, num_questions=25, num_concepts=5,
                               guess_c=0.0, seed=7)
         ds, gt = generate_synthetic(cfg)
-        fit = fit_irt(first_attempts(ds.sequences))
+        fit = fit_irt(first_attempts(ds))
         est = np.array([fit.beta[j + 1] for j in range(25)])
         assert pearson(gt.beta, est) > 0.9

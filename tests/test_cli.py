@@ -119,6 +119,22 @@ class TestTrain:
         assert "unknown config keys: epoch" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config,message", [
+        ([{"lr": 0.1}], "config must be a JSON object, got list"),
+        ({"lr": "fast"}, "lr must be float, got 'fast'"),
+        ({"epochs": 1.5}, "epochs must be int, got 1.5"),
+    ], ids=["array", "str_for_float", "float_for_int"])
+    def test_config_of_wrong_type_exits_1(self, tmp_path, data_file, capsys,
+                                          config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "m.json"
+        code = main(["train", "--config", str(cfg_path), "--data", data_file,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 def _changed(value, times):
     """A valid setting of ``value``'s type other than ``value``; each
@@ -229,6 +245,15 @@ class TestExperimentAndBaseline:
         assert b.read_bytes() == e.read_bytes()
         assert baseline_out.replace(str(b), str(e)) == capsys.readouterr().out
 
+    def test_bad_grid_point_exits_1(self, tmp_path, data_file, capsys):
+        report = tmp_path / "r.json"
+        for command in (["experiment", "--model", "dkt", "--report", str(report)],
+                        ["grid", "--model", "dkvmn", "--memory-sizes", "2"]):
+            code = main(command + ["--data", data_file, "--state-dims", "0"] + FAST)
+            assert code == 1
+            assert "must be positive" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_grid_command_prints_table(self, data_file, capsys):
         code = main(["grid", "--data", data_file, "--model", "deep_irt",
                      "--state-dims", "4", "--memory-sizes", "2"] + FAST)
@@ -282,6 +307,20 @@ class TestExports:
         for r in rows:
             assert 0.0 < float(r["p"]) < 1.0
             assert -1.0 < float(r["theta"]) < 1.0
+
+    def test_export_trajectory_past_the_checkpoint_bank_exits_1(self, tmp_path,
+                                                                 ckpt, capsys):
+        # the checkpoint knows questions 1..8; every student asks 1..10
+        ds, _ = datasets.generate_synthetic(datasets.SyntheticConfig(
+            num_students=3, num_questions=10, num_concepts=2, seed=1))
+        wide = tmp_path / "wide.txt"
+        datasets.save_sequences(ds, wide)
+        out = tmp_path / "t.csv"
+        code = main(["export-trajectory", "--ckpt", ckpt, "--data", str(wide),
+                     "--student", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.endswith("question id 9 outside [1, 8]\n")
+        assert not out.exists()
 
     def test_export_trajectory_unknown_student(self, tmp_path, ckpt, data_file,
                                                capsys):

@@ -226,8 +226,8 @@ class TestStepColumns:
     def test_dataset_flattened_once(self, monkeypatch):
         calls = count_flattens(monkeypatch)
         ds = Dataset(3, [make_seq(0, [(3, 1), (1, 0)]), make_seq(1, [(2, 1)])])
-        first = datasets.step_columns(ds)
-        again = datasets.step_columns(ds)
+        first = ds.columns
+        again = ds.columns
         assert calls == [2]
         assert all(a is b for a, b in zip(first, again))
         for got, want in zip(first, datasets.flatten_steps(ds.sequences)):
@@ -237,8 +237,8 @@ class TestStepColumns:
     def test_list_flattened_every_call(self, monkeypatch):
         calls = count_flattens(monkeypatch)
         seqs = [make_seq(0, [(1, 1)])]
-        datasets.step_columns(seqs)
-        datasets.step_columns(seqs)
+        pad_and_mask(seqs, 4, 1)
+        pad_and_mask(seqs, 4, 1)
         assert calls == [1, 1]
 
     def test_bad_dataset_raises_every_call_and_keeps_nothing(self, monkeypatch):
@@ -246,7 +246,7 @@ class TestStepColumns:
         ds = Dataset(3, [make_seq(0, [(1, 1), (1.5, 0)])])
         for _ in range(2):
             with pytest.raises(ValidationError, match="1.5 is not an integer"):
-                datasets.step_columns(ds)
+                ds.columns
         assert calls == [1, 1]
         assert "columns" not in vars(ds)
         assert ds == Dataset(3, [make_seq(0, [(1, 1), (1.5, 0)])])

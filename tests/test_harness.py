@@ -63,6 +63,23 @@ class TestTrainConfig:
                            match="unknown config keys: epoch, junk$"):
             TrainConfig.from_dict({"model": "dkt", "junk": 1, "epoch": 3})
 
+    @pytest.mark.parametrize("d,message", [
+        ([], "config must be a JSON object, got list"),
+        ({"lr": "fast"}, "lr must be float, got 'fast'"),
+        ({"epochs": 1.5}, "epochs must be int, got 1.5"),
+        ({"epochs": True}, "epochs must be int, got True"),
+        ({"lr": False}, "lr must be float, got False"),
+        ({"model": 3}, "model must be str, got 3"),
+    ], ids=["array", "str_for_float", "float_for_int", "bool_for_int",
+            "bool_for_float", "int_for_str"])
+    def test_from_dict_rejects_wrong_types(self, d, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TrainConfig.from_dict(d)
+
+    def test_from_dict_takes_an_int_for_a_float(self):
+        cfg = TrainConfig.from_dict({"lr": 1, "test_fraction": 0.5})
+        assert (cfg.lr, cfg.test_fraction) == (1, 0.5)
+
     def test_grid_points(self):
         grid = GridSpec(state_dims=(10, 50), memory_sizes=(5, 20))
         assert grid.points("dkt") == [{"hidden": 10}, {"hidden": 50}]
@@ -259,7 +276,7 @@ class TestBaselineEvaluation:
     def test_item_analysis_scores_complement_difficulty(self, rng):
         from deepkt.baselines import item_analysis
         tr, te = self.make_splits(rng)
-        diff = item_analysis(tr, min_students=2)
+        diff = item_analysis(Dataset(3, tr), min_students=2)
         pred = evaluate_baseline("item_analysis", Dataset(3, tr), Dataset(3, te),
                                  min_students=2)
         k = 0
@@ -324,11 +341,11 @@ class TestBaselineEvaluation:
 
 
 def step_readers(good, bad):
-    """Every library call that reads the steps of ``bad``."""
+    """Every library call that reads the steps of ``bad``, over questions 1..3."""
     readers = [lambda: pad_and_mask(bad, 4, 3),
-               lambda: baselines.build_pfa_features(bad),
-               lambda: baselines.fit_irt(baselines.first_attempts(bad)),
-               lambda: baselines.item_analysis(bad, 1)]
+               lambda: baselines.build_pfa_features(Dataset(3, bad)),
+               lambda: baselines.fit_irt(baselines.first_attempts(Dataset(3, bad))),
+               lambda: baselines.item_analysis(Dataset(3, bad), 1)]
     return readers + [lambda m=model: evaluate_baseline(m, Dataset(3, good), Dataset(3, bad),
                                                         min_students=1)
                       for model in ("pfa", "lfa", "irt", "item_analysis")]
@@ -338,9 +355,10 @@ def step_readers(good, bad):
     ((1.5, 1), ValidationError, r"^question id 1\.5 is not an integer$"),
     ((np.inf, 1), ValidationError, r"^question id inf is not finite$"),
     ((0, 1), IndexOutOfRangeError, r"^question id 0 < 1$"),
+    ((4, 1), IndexOutOfRangeError, r"^question id 4 outside \[1, 3\]$"),
     ((2 ** 53 + 1, 1), ValidationError, r"^question id 9007199254740992 >= 2\*\*53 is rounded$"),
     ((1, 2), ValidationError, r"^answer bit must be 0 or 1, got 2$"),
-], ids=["fraction", "inf", "zero", "past_2_53", "answer_2"])
+], ids=["fraction", "inf", "zero", "over_bank", "past_2_53", "answer_2"])
 def test_every_step_reader_rejects_a_bad_step_alike(rng, step, error, message):
     good = tiny_dataset(rng, n_seqs=6, num_kcs=3).sequences
     bad = [*good[:3], InteractionSequence("bad", [(1, 0), step, (2, 1)])]
@@ -393,6 +411,18 @@ class TestGridSearch:
         ds = tiny_dataset(rng, n_seqs=1)
         with pytest.raises(ValidationError):
             grid_search(GridSpec(), tiny_config(), ds)
+
+    @pytest.mark.parametrize("model,field", [("dkt", "hidden"), ("dkvmn", "state_dim")])
+    def test_bad_point_rejected_before_any_training(self, rng, monkeypatch,
+                                                    model, field):
+        # the bad point is last, so a search that checks as it goes trains first
+        calls, real = [], harness.train
+        monkeypatch.setattr(harness, "train",
+                            lambda *args: calls.append(args) or real(*args))
+        grid = GridSpec(state_dims=(4, 0), memory_sizes=(2,))
+        with pytest.raises(ValidationError, match=f"^{field} must be positive$"):
+            grid_search(grid, tiny_config(model=model, epochs=1), tiny_dataset(rng))
+        assert calls == []
 
 
 class TestRunExperiment:
