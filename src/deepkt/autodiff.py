@@ -466,16 +466,19 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         r[s]   = sum_i w[j,i] * M[i]
         M[i]  <- M[i] * keep[j,i] + put[j,i]
     with keep = 1 - w (x) erase and put = w (x) add_vec.  When the two
-    P x N x d factor tables are no larger than the S x d output (2PN <= S)
+    P x N x d factor tables are no larger than what the scan holds anyway
     they are built once per call and each block gathers its rows from them;
     otherwise each block forms its rows into a reused buffer.  Both give the
     same bits.  Each block's reads go straight to their cells' rows.
 
     When a gradient is needed, all rows run as one group: forward gathers
     the cells' inputs in time order once and keeps the memory each cell
-    read, since the reverse-scan backward re-reads both block by block.
-    Without one, rows never interact, so they run in groups of about
-    GROUP_BYTES of memory, each with its own time blocks and live memory.
+    read (S x N x d, so the tables are built when 2P <= S), and the
+    reverse-scan backward carries the gradient in the forward's form,
+    G <- G * keep + w (x) g_read.  Without one, rows never interact, so they
+    run in groups of about GROUP_BYTES of memory, each with its own time
+    blocks and live memory, and the tables are built when they are no larger
+    than the S x d output (2PN <= S).
     """
     P, N = w.shape
     d = mem0.cols
@@ -488,7 +491,7 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     lengths = _row_lengths(lengths, S)
     B = len(lengths)
     save = _needs_grad((mem0, w, erase, add_vec))
-    tables = 2 * P * N <= S
+    tables = 2 * P <= S if save else 2 * P * N <= S
     if tables:
         keep = np.einsum("pn,pd->pnd", w.data, erase.data)
         np.subtract(1.0, keep, out=keep)
@@ -532,21 +535,24 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         # that one pass sums them onto the tables
         g_in = np.empty((S, N + 2 * d))
         gw, ge, ga = g_in[:, :N], g_in[:, N:N + d], g_in[:, N + d:]
-        buf_gm, buf_delta = np.empty((B, N, d)), np.empty((B, N, d))
+        buf_gm, buf = np.empty((B, N, d)), np.empty((B, N, d))
         for lo, hi in reversed(blocks):
-            m, gm = before[lo:hi], gmem[:hi - lo]
-            w_row = ws[lo:hi, None, :]
+            m, gm, f = before[lo:hi], gmem[:hi - lo], buf[:hi - lo]
+            wb = ws[lo:hi]
+            w_row = wb[:, None, :]
             e_col, a_col, gr = es[lo:hi, :, None], as_[lo:hi, :, None], gs[lo:hi]
             gm_m = np.multiply(gm, m, out=buf_gm[:hi - lo])
             gw[lo:hi] = (np.matmul(gm, a_col) - np.matmul(gm_m, e_col)
                          + np.matmul(m, gr[:, :, None]))[:, :, 0]
             ge[lo:hi] = -np.matmul(w_row, gm_m)[:, 0, :]
             ga[lo:hi] = np.matmul(w_row, gm)[:, 0, :]
-            # the gradient before the write: G - w (G e - g_read), in place
-            delta = np.multiply(gm, es[lo:hi, None, :], out=buf_delta[:hi - lo])
-            delta -= gr[:, None, :]
-            delta *= ws[lo:hi, :, None]
-            gm -= delta
+            # the gradient before the write: G * keep + w (x) g_read, in place
+            if tables:
+                gm *= np.take(keep, rows[lo:hi], axis=0, out=f, mode="clip")
+            else:
+                np.einsum("bn,bd->bnd", wb, es[lo:hi], out=f)
+                gm *= np.subtract(1.0, f, out=f)
+            gm += np.einsum("bn,bd->bnd", wb, gr, out=f)
         mem0.accumulate_grad(gmem.sum(axis=0))
         g_tables = _sum_onto_rows(ids, P, g_in, order)
         w.accumulate_grad(g_tables[:, :N])
@@ -667,6 +673,9 @@ def backward(loss: Tensor) -> None:
         node = stack.pop()
         if id(node) in visited or not node.requires_grad:
             continue
+        if node._parents is None:
+            raise GraphError("backward already ran through this graph; build "
+                             "a new one")
         visited.add(id(node))
         nodes.append(node)
         stack.extend(node._parents)
@@ -675,9 +684,15 @@ def backward(loss: Tensor) -> None:
     # gradient accumulation order does not depend on unrelated graph suffixes
     nodes.sort(key=lambda n: n._uid, reverse=True)
     loss.accumulate_grad(np.ones((1, 1)))
+    # each op's closure and parents go as it runs, so what only its backward
+    # reads (a scan's saved states) is freed mid-sweep, and the graph does
+    # not outlive the sweep; None parents mark a consumed node
     for node in nodes:
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad, node)
+        step = node._backward
+        if step is not None:
+            node._backward = node._parents = None
+            if node.grad is not None:
+                step(node.grad, node)
 
 
 # ---------------------------------------------------------------------------

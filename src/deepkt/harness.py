@@ -54,18 +54,24 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         """A validated config from a JSON object of fields; each value must
-        have its field's type, except that an int may set a float."""
+        have its field's type, except that an int may set a float (and is
+        converted, so the report holds the same value either way)."""
         if not isinstance(d, dict):
             raise ValidationError(f"config must be a JSON object, got {type(d).__name__}")
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+        values = {}
         for name, value in d.items():
             kind = type(cls.__dataclass_fields__[name].default)
             if isinstance(value, bool) or not isinstance(
                     value, (int, float) if kind is float else kind):
                 raise ValidationError(f"{name} must be {kind.__name__}, got {value!r}")
-        cfg = cls(**d)
+            try:
+                values[name] = kind(value)
+            except OverflowError:
+                raise ValidationError(f"{name} is too large for a float") from None
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -188,6 +194,8 @@ def grid_search(grid: GridSpec, base_config: TrainConfig, train_set: Dataset):
         raise ValidationError("not enough sequences for cross-validation")
     runs = [(point, replace(base_config, **point))
             for point in grid.points(base_config.model)]
+    if not runs:
+        raise ValidationError(f"the grid has no points for {base_config.model}")
     for _, cfg in runs:   # a bad point fails before any training
         cfg.validate()
     table = []

@@ -199,6 +199,23 @@ class TestBackward:
         with pytest.raises(ad.GraphError):
             backward(Tensor(rng.normal(size=(2, 2)), requires_grad=True))
 
+    def test_backward_runs_once_per_graph(self, rng):
+        # backward frees the graph as it runs: a second sweep over the loss,
+        # or over a new graph built on a consumed node, would reach no
+        # parameter, so both raise before touching any gradient
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        y = ad.tanh(x)
+        loss = sum_all(ad.mul(y, y))
+        backward(loss)
+        x.zero_grad()
+        with pytest.raises(ad.GraphError, match="already ran"):
+            backward(loss)
+        with pytest.raises(ad.GraphError, match="already ran"):
+            backward(sum_all(ad.scale(y, 2.0)))
+        assert x.grad is None and loss.grad is not None
+        backward(sum_all(ad.tanh(x)))     # the parameter itself is reusable
+        assert x.grad is not None
+
     def test_deep_chain_no_recursion_limit(self):
         x = Tensor([[0.1]], requires_grad=True)
         y = x
@@ -518,8 +535,10 @@ class TestTableIds:
 class TestFactorTables:
     """memory_scan writes M * keep + put with keep = 1 - w (x) erase and
     put = w (x) add: read from per-interaction tables when they are no larger
-    than the output (2PN <= S), else formed block by block.  Without a
-    gradient the rows run in groups of about GROUP_BYTES of memory."""
+    than what the scan holds anyway, else formed block by block.  With a
+    gradient that is the S x N x d history (2P <= S), and backward reads
+    keep the same way; without one it is the S x d output (2PN <= S), and
+    the rows run in groups of about GROUP_BYTES of memory."""
 
     # 20 ragged rows, three of them empty: 261 cells
     LENGTHS = [0, 25, 3, 30, 17, 0, 8, 30, 1, 12, 22, 0, 5, 28, 14, 9, 30, 2, 19, 6]
@@ -531,11 +550,15 @@ class TestFactorTables:
         a = Tensor(rng.normal(size=(P, d)), requires_grad=True)
         return mem0, w, e, a
 
-    def test_table_side_equals_per_block_side_exactly(self, rng):
-        lengths, N, d, P = [9, 0, 7, 12, 5], 3, 4, 4
+    SIDE_LENGTHS = [9, 0, 7, 12, 5]    # 33 cells
+
+    def check_sides(self, rng, P, N=3, d=4):
+        """The scan on P-row tables gives the bits of the per-block side (the
+        tables gathered to one row per cell, P = S): its reads with and
+        without a gradient, and all four gradients."""
+        lengths = self.SIDE_LENGTHS
         S = sum(lengths)
         ids = rng.integers(0, P, size=S)
-        assert 2 * P * N <= S    # the table side; P = S is the per-block side
         mem0, w, e, a = self.tables(rng, P, N, d)
         target = rng.normal(size=(S, d))
 
@@ -555,6 +578,20 @@ class TestFactorTables:
         gathered = TestTableIds().scan_grads(scan, params, [w, e, a], ids, True, target)
         for g_direct, g_gathered in zip(direct, gathered):
             np.testing.assert_array_equal(g_direct, g_gathered)
+
+    def test_table_side_equals_per_block_side_exactly(self, rng):
+        # 2PN <= S: the tables with and without a gradient
+        P, N = 4, 3
+        assert 2 * P * N <= sum(self.SIDE_LENGTHS)
+        self.check_sides(rng, P, N)
+
+    def test_grad_tables_below_the_no_grad_rule(self, rng):
+        # 2P <= S < 2PN, the regime of training (S = 1,600 cells, P = 100,
+        # N = 20): the grad scan reads the tables, the no-grad scan forms
+        # each block's rows
+        P, N = 8, 3
+        assert 2 * P <= sum(self.SIDE_LENGTHS) < 2 * P * N
+        self.check_sides(rng, P, N)
 
     @pytest.mark.parametrize("P", [2, 261], ids=["tables", "per-block"])
     def test_row_groups_equal_grad_path_and_cell_loop(self, rng, P):

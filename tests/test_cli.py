@@ -245,6 +245,17 @@ class TestExperimentAndBaseline:
         assert b.read_bytes() == e.read_bytes()
         assert baseline_out.replace(str(b), str(e)) == capsys.readouterr().out
 
+    def test_int_for_a_float_writes_the_same_report(self, tmp_path, data_file):
+        # {"lr": 1} in a config file and --lr 1 (a float flag) are one config
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lr": 1, "clip_norm": 5}))
+        from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        common = ["experiment", "--model", "pfa", "--data", data_file, "--report"]
+        assert main(common + [str(from_file), "--config", str(cfg_path)]) == 0
+        assert main(common + [str(from_flags), "--lr", "1", "--clip-norm", "5"]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+        assert json.loads(from_file.read_text())["config"]["lr"] == 1.0
+
     def test_bad_grid_point_exits_1(self, tmp_path, data_file, capsys):
         report = tmp_path / "r.json"
         for command in (["experiment", "--model", "dkt", "--report", str(report)],

@@ -79,6 +79,9 @@ class TestTrainConfig:
     def test_from_dict_takes_an_int_for_a_float(self):
         cfg = TrainConfig.from_dict({"lr": 1, "test_fraction": 0.5})
         assert (cfg.lr, cfg.test_fraction) == (1, 0.5)
+        assert type(cfg.lr) is float    # the report holds 1.0, as for {"lr": 1.0}
+        with pytest.raises(ValidationError, match="^lr is too large for a float$"):
+            TrainConfig.from_dict({"lr": 10 ** 400})
 
     def test_grid_points(self):
         grid = GridSpec(state_dims=(10, 50), memory_sizes=(5, 20))
@@ -200,6 +203,23 @@ class TestTrain:
         np.testing.assert_allclose(np.asarray(a.scores, dtype=float),
                                    np.asarray(b.scores, dtype=float), atol=1e-12)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_training_holds_one_memory_history_at_a_time(self):
+        # Deep-IRT at B=32, L=50, N=20, d=50 saves each cell's memory, an
+        # S x N x d history of 12.8 MB, for backward.  backward frees it as
+        # it runs, so the next batch's forward never holds two
+        ds, _ = generate_synthetic(SyntheticConfig(
+            num_students=64, num_questions=50, num_concepts=5, seed=0))
+        cfg = TrainConfig(model="deep_irt", seq_len=50, epochs=1, batch_size=32,
+                          mem_slots=20, state_dim=50, feature_dim=50, seed=0)
+        history = 32 * 50 * 20 * 50 * 8
+        tracemalloc.start()
+        try:
+            train(cfg, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7 * history, peak / history
 
     def test_evaluate_keeps_no_memory_history(self):
         # one Deep-IRT batch of B=50 students x L=100 steps, N=20, d=16: a
@@ -421,6 +441,21 @@ class TestGridSearch:
                             lambda *args: calls.append(args) or real(*args))
         grid = GridSpec(state_dims=(4, 0), memory_sizes=(2,))
         with pytest.raises(ValidationError, match=f"^{field} must be positive$"):
+            grid_search(grid, tiny_config(model=model, epochs=1), tiny_dataset(rng))
+        assert calls == []
+
+
+    @pytest.mark.parametrize("model,grid", [
+        ("dkt", GridSpec(state_dims=(), memory_sizes=(2,))),
+        ("dkvmn", GridSpec(state_dims=(4,), memory_sizes=())),
+        ("deep_irt", GridSpec(state_dims=(), memory_sizes=())),
+    ], ids=["dkt-no-state-dims", "dkvmn-no-memory-sizes", "deep_irt-empty"])
+    def test_empty_grid_rejected_before_any_training(self, rng, monkeypatch,
+                                                     model, grid):
+        calls, real = [], harness.train
+        monkeypatch.setattr(harness, "train",
+                            lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(ValidationError, match=f"^the grid has no points for {model}$"):
             grid_search(grid, tiny_config(model=model, epochs=1), tiny_dataset(rng))
         assert calls == []
 

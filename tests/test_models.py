@@ -638,6 +638,33 @@ class TestItemBankInvariance:
             np.testing.assert_array_equal(g[unused], 0.0, err_msg=name)
 
 
+class TestGraphRelease:
+    """backward drops each node's closure and parents as it runs it, so no
+    graph (nor a scan's saved states) outlives its sweep."""
+
+    @pytest.mark.parametrize("model", ["dkvmn", "deep_irt", "dkt"])
+    def test_no_node_keeps_its_closure(self, rng, model):
+        params = init_params(TestFusedMatchesOracle.ARCHS[model], std=0.4, seed=0)
+        batch = make_batch([random_steps(rng, n, 6) for n in (5, 3, 7)], 7, 6)
+        loss = sequence_loss(forward(params, batch))
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        ops = [n for n in nodes.values() if n._backward is not None]
+        scan = "lstm_scan" if model == "dkt" else "memory_scan"
+        assert scan in {n.op for n in ops}
+        ad.backward(loss)
+        for node in ops:
+            assert node._backward is None and node._parents is None, node.op
+        for p in params.parameters():
+            assert p.grad is not None and p._parents == () and p._backward is None
+        with pytest.raises(ad.GraphError, match="already ran"):
+            ad.backward(loss)
+
+
 class TestNoGradForward:
     """Inference without a graph gives the training forward's outputs, bit
     for bit, and keeps no graph."""
