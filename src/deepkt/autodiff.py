@@ -9,6 +9,7 @@ all: every op returns a leaf and the scans keep no backward state.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -455,6 +456,15 @@ def _table_ids(ids, rows):
 # live memory, so that each group's state stays in a core's cache
 GROUP_BYTES = 1 << 18
 
+# a grad memory scan keeps each cell's memory (S x N x d) while it fits in
+# this many bytes; a larger history keeps every K-th block's memory only
+# (K = ceil(sqrt(T)) of T blocks) and backward recomputes the rest.  Below
+# it, keeping all of them is cheaper: checkpointing at the training shape
+# (a 12.8 MB history) cost about 8% of the scan's forward plus backward,
+# while a history past 32 MiB is above glibc's largest mmap threshold, so
+# it is page-faulted in afresh on every batch anyway
+HISTORY_BYTES = 1 << 25
+
 
 def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
                 ids, lengths) -> Tensor:
@@ -475,10 +485,13 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     the cells' inputs in time order once and keeps the memory each cell
     read (S x N x d, so the tables are built when 2P <= S), and the
     reverse-scan backward carries the gradient in the forward's form,
-    G <- G * keep + w (x) g_read.  Without one, rows never interact, so they
-    run in groups of about GROUP_BYTES of memory, each with its own time
-    blocks and live memory, and the tables are built when they are no larger
-    than the S x d output (2PN <= S).
+    G <- G * keep + w (x) g_read.  A history above HISTORY_BYTES is kept at
+    the first of every K blocks only; backward walks those segments last to
+    first and recomputes each one's memories with the forward's own write,
+    so the gradients keep their bits.  Without a gradient, rows never
+    interact, so they run in groups of about GROUP_BYTES of memory, each
+    with its own time blocks and live memory, and the tables are built when
+    they are no larger than the S x d output (2PN <= S).
     """
     P, N = w.shape
     d = mem0.cols
@@ -496,6 +509,17 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         keep = np.einsum("pn,pd->pnd", w.data, erase.data)
         np.subtract(1.0, keep, out=keep)
         put = np.einsum("pn,pd->pnd", w.data, add_vec.data)
+
+    def write(m, f, j, wb, eb, ab):
+        """M <- M * keep + put on the memories m of the cells of rows j."""
+        if tables:    # ids are checked, and "clip" skips take's buffering
+            m *= np.take(keep, j, axis=0, out=f, mode="clip")
+            m += np.take(put, j, axis=0, out=f, mode="clip")
+        else:
+            np.einsum("bn,bd->bnd", wb, eb, out=f)
+            m *= np.subtract(1.0, f, out=f)
+            m += np.einsum("bn,bd->bnd", wb, ab, out=f)
+
     size = max(1, B if save else min(B, GROUP_BYTES // (8 * N * d)))
     mem, buf = np.empty((size, N, d)), np.empty((size, N, d))
     first = np.r_[0, np.cumsum(lengths)]     # row b owns cells first[b]:first[b + 1]
@@ -507,25 +531,22 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         rows = ids[order]
         if save:
             ws, es, as_ = w.data[rows], erase.data[rows], add_vec.data[rows]
-            before = np.empty((S, N, d))   # the memory each cell read
+            K = 1 if 8 * S * N * d <= HISTORY_BYTES else 1 + math.isqrt(len(blocks) - 1)
+            # the memory read by the first block of each segment of K
+            spots = np.cumsum([0] + [hi - lo for lo, hi in blocks[::K]]).tolist()
+            kept = np.empty((spots[-1], N, d))
         mem[:] = mem0.data
-        for lo, hi in blocks:
+        for t, (lo, hi) in enumerate(blocks):
             m, f, j = mem[:hi - lo], buf[:hi - lo], rows[lo:hi]
             if save:
                 wb, eb, ab = ws[lo:hi], es[lo:hi], as_[lo:hi]
-                before[lo:hi] = m
-            elif tables:
+                if t % K == 0:
+                    kept[spots[t // K]:spots[t // K + 1]] = m
+            else:
                 wb = w.data[j]
-            else:
-                wb, eb, ab = w.data[j], erase.data[j], add_vec.data[j]
+                eb, ab = (None, None) if tables else (erase.data[j], add_vec.data[j])
             reads[order[lo:hi]] = np.matmul(wb[:, None, :], m)[:, 0, :]
-            if tables:    # ids are checked, and "clip" skips take's buffering
-                m *= np.take(keep, j, axis=0, out=f, mode="clip")
-                m += np.take(put, j, axis=0, out=f, mode="clip")
-            else:
-                np.einsum("bn,bd->bnd", wb, eb, out=f)
-                m *= np.subtract(1.0, f, out=f)
-                m += np.einsum("bn,bd->bnd", wb, ab, out=f)
+            write(m, f, j, wb, eb, ab)
 
     # with a gradient there is one group, so order and blocks cover all rows
     def backward(g, out):
@@ -536,23 +557,36 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         g_in = np.empty((S, N + 2 * d))
         gw, ge, ga = g_in[:, :N], g_in[:, N:N + d], g_in[:, N + d:]
         buf_gm, buf = np.empty((B, N, d)), np.empty((B, N, d))
-        for lo, hi in reversed(blocks):
-            m, gm, f = before[lo:hi], gmem[:hi - lo], buf[:hi - lo]
-            wb = ws[lo:hi]
-            w_row = wb[:, None, :]
-            e_col, a_col, gr = es[lo:hi, :, None], as_[lo:hi, :, None], gs[lo:hi]
-            gm_m = np.multiply(gm, m, out=buf_gm[:hi - lo])
-            gw[lo:hi] = (np.matmul(gm, a_col) - np.matmul(gm_m, e_col)
-                         + np.matmul(m, gr[:, :, None]))[:, :, 0]
-            ge[lo:hi] = -np.matmul(w_row, gm_m)[:, 0, :]
-            ga[lo:hi] = np.matmul(w_row, gm)[:, 0, :]
-            # the gradient before the write: G * keep + w (x) g_read, in place
-            if tables:
-                gm *= np.take(keep, rows[lo:hi], axis=0, out=f, mode="clip")
-            else:
-                np.einsum("bn,bd->bnd", wb, es[lo:hi], out=f)
-                gm *= np.subtract(1.0, f, out=f)
-            gm += np.einsum("bn,bd->bnd", wb, gr, out=f)
+        # a segment's memories after its checkpoint (blocks shrink, so the
+        # first segment has the most)
+        redo = np.empty((sum(hi - lo for lo, hi in blocks[1:K]), N, d))
+        for c in reversed(range(len(spots) - 1)):
+            seg = blocks[c * K:(c + 1) * K]
+            mems, base = [kept[spots[c]:spots[c + 1]]], seg[0][1]
+            for (lo, _), (nlo, nhi) in zip(seg, seg[1:]):
+                n = nhi - nlo
+                m = redo[nlo - base:nhi - base]
+                m[:] = mems[-1][:n]
+                write(m, buf[:n], rows[lo:lo + n], ws[lo:lo + n], es[lo:lo + n],
+                      as_[lo:lo + n])
+                mems.append(m)
+            for (lo, hi), m in zip(reversed(seg), reversed(mems)):
+                gm, f = gmem[:hi - lo], buf[:hi - lo]
+                wb = ws[lo:hi]
+                w_row = wb[:, None, :]
+                e_col, a_col, gr = es[lo:hi, :, None], as_[lo:hi, :, None], gs[lo:hi]
+                gm_m = np.multiply(gm, m, out=buf_gm[:hi - lo])
+                gw[lo:hi] = (np.matmul(gm, a_col) - np.matmul(gm_m, e_col)
+                             + np.matmul(m, gr[:, :, None]))[:, :, 0]
+                ge[lo:hi] = -np.matmul(w_row, gm_m)[:, 0, :]
+                ga[lo:hi] = np.matmul(w_row, gm)[:, 0, :]
+                # the gradient before the write: G * keep + w (x) g_read, in place
+                if tables:
+                    gm *= np.take(keep, rows[lo:hi], axis=0, out=f, mode="clip")
+                else:
+                    np.einsum("bn,bd->bnd", wb, es[lo:hi], out=f)
+                    gm *= np.subtract(1.0, f, out=f)
+                gm += np.einsum("bn,bd->bnd", wb, gr, out=f)
         mem0.accumulate_grad(gmem.sum(axis=0))
         g_tables = _sum_onto_rows(ids, P, g_in, order)
         w.accumulate_grad(g_tables[:, :N])
@@ -679,20 +713,26 @@ def backward(loss: Tensor) -> None:
         visited.add(id(node))
         nodes.append(node)
         stack.extend(node._parents)
-    # run consumers before producers by descending creation id: inputs always
-    # predate outputs, so this is a reverse topological order, and one whose
-    # gradient accumulation order does not depend on unrelated graph suffixes
-    nodes.sort(key=lambda n: n._uid, reverse=True)
+    # run consumers before producers, popping by descending creation id:
+    # inputs always predate outputs, so this is a reverse topological order,
+    # and one whose gradient accumulation order does not depend on unrelated
+    # graph suffixes
+    nodes.sort(key=lambda n: n._uid)
     loss.accumulate_grad(np.ones((1, 1)))
-    # each op's closure and parents go as it runs, so what only its backward
-    # reads (a scan's saved states) is freed mid-sweep, and the graph does
-    # not outlive the sweep; None parents mark a consumed node
-    for node in nodes:
+    # the graph goes as the sweep runs: each op drops its closure and parents
+    # (None parents mark a consumed node), and every op but the loss its
+    # gradient, and the sweep drops the node, so what only backward reads (a
+    # scan's saved states) and each node's data are freed mid-sweep.  Leaves
+    # and the loss keep their gradients
+    while nodes:
+        node = nodes.pop()
         step = node._backward
         if step is not None:
             node._backward = node._parents = None
             if node.grad is not None:
                 step(node.grad, node)
+                if node is not loss:
+                    node.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,10 @@ def _given(args, cls):
 def _load_config(args) -> harness.TrainConfig:
     d = {}
     if getattr(args, "config", None):
-        d = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            d = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config {args.config} is not UTF-8: {exc}") from None
     if isinstance(d, dict):   # from_dict rejects any other JSON value
         d = {**d, **_given(args, harness.TrainConfig)}   # flags win over the file
     return harness.TrainConfig.from_dict(d)
@@ -112,12 +115,26 @@ def cmd_baseline(args):
 
 
 def _read_difficulty_csv(path):
+    """{source: {question_id: difficulty}} from a CSV that export-difficulty
+    wrote; a missing column, a bad number or bytes that are not UTF-8 raise
+    ValidationError naming the file (and the line)."""
     out = {}
-    name = None
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            name = row["source"]
-            out.setdefault(name, {})[int(row["question_id"])] = float(row["difficulty"])
+        reader = csv.DictReader(fh)
+        try:
+            missing = {"question_id", "source", "difficulty"} - set(reader.fieldnames or ())
+            if missing:
+                raise ValidationError(
+                    f"difficulty CSV {path} has no {', '.join(sorted(missing))} column")
+            for row in reader:
+                try:
+                    q, value = int(row["question_id"]), float(row["difficulty"])
+                except (TypeError, ValueError) as exc:   # a short row gives None
+                    raise ValidationError(f"difficulty CSV {path}, line "
+                                          f"{reader.line_num}: {exc}") from None
+                out.setdefault(row["source"], {})[q] = value
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"difficulty CSV {path} is not UTF-8: {exc}") from None
     return out
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ def check_gradients(loss_fn, tensors, rng, n_samples=10, h=1e-5, rtol=1e-4):
             f"gradient mismatch at tensor {k} entry ({i},{j}): "
             f"analytic {grads[k][i, j]:.8g}, numeric {numeric:.8g}, rel {err:.3g}")
     return worst
+
+
+def peak_bytes(fn):
+    """The peak of the memory that numpy and Python allocate while fn runs,
+    in bytes, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

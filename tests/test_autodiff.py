@@ -1,13 +1,13 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from deepkt import autodiff as ad
+from deepkt import harness
 from deepkt.autodiff import (AdamState, ShapeMismatchError, Tensor, adam_step,
                              backward, clip_global_norm)
 
-from conftest import check_gradients
+from conftest import check_gradients, peak_bytes
+from deepkt.datasets import SyntheticConfig, generate_synthetic
 
 
 def sum_all(x):
@@ -620,14 +620,6 @@ class TestFactorTables:
         mem0, w, e, a = self.tables(rng, P, N, d)
         ids, lengths = rng.integers(0, P, size=S), [L] * B
 
-        def peak_bytes(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         time_order = peak_bytes(lambda: ad._time_blocks(lengths, S))
         with ad.no_grad():
             peak = peak_bytes(lambda: ad.memory_scan(mem0, w, e, a, ids, lengths))
@@ -635,6 +627,56 @@ class TestFactorTables:
         bound = out_bytes + table_bytes + 2 * group * N * d * 8 + time_order
         assert bound < out_bytes + table_bytes + 2 * B * N * d * 8
         assert peak < bound, (peak, bound)
+
+
+class TestHistoryCheckpoints:
+    """A grad memory scan whose S x N x d history is above HISTORY_BYTES
+    keeps the memory of the first of every K time blocks only (K =
+    ceil(sqrt(T)) of T blocks), and backward recomputes each segment with
+    the forward's own write, so reads and gradients keep the full history's
+    bits."""
+
+    # T = 13 blocks and K = 4: segments of 4, 4, 4 and 1 block, rows that
+    # end at each point of a segment, and an empty row
+    LONG = [13, 6, 0, 9, 2, 11, 5, 13, 1, 3]
+    # T = 7 and K = 3: segments of 3, 3 and 1 block
+    SHORT = [7, 3, 0, 5]
+
+    def reads_and_grads(self, monkeypatch, budget, P, lengths, N=3, d=4):
+        rng = np.random.default_rng(0)      # the same inputs for every budget
+        S = sum(lengths)
+        mem0, w, e, a = TestFactorTables().tables(rng, P, N, d)
+        ids = rng.integers(0, P, size=S) if P < S else np.arange(S)
+        target = rng.normal(size=(S, d))
+        monkeypatch.setattr(ad, "HISTORY_BYTES", budget)
+        reads = ad.memory_scan(mem0, w, e, a, ids, lengths)
+        backward(scalar_loss(ad.mul(reads, Tensor(target))))
+        return [reads.data] + [t.grad for t in (mem0, w, e, a)]
+
+    @pytest.mark.parametrize("lengths", [LONG, SHORT], ids=["T13", "T7"])
+    @pytest.mark.parametrize("side", ["tables", "per-block"])
+    def test_checkpoints_give_the_full_history_bits(self, monkeypatch, side, lengths):
+        N, d, S = 3, 4, sum(lengths)
+        P = 4 if side == "tables" else S
+        assert (2 * P <= S) == (side == "tables")
+        history = 8 * S * N * d
+        full = self.reads_and_grads(monkeypatch, history, P, lengths)
+        kept = self.reads_and_grads(monkeypatch, history - 1, P, lengths)
+        for name, x, y in zip(["reads", "mem0", "w", "erase", "add"], full, kept):
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+    def test_deep_irt_batch_above_the_budget_peaks_below_its_history(self):
+        # one training batch of B=32, L=50, N=40, d=80 saves a 41 MB history
+        # when it keeps every cell's memory, and peaks above 1.6 histories
+        B, L, N, d = 32, 50, 40, 80
+        history = B * L * N * d * 8
+        assert history > ad.HISTORY_BYTES
+        ds, _ = generate_synthetic(SyntheticConfig(
+            num_students=B, num_questions=L, num_concepts=5, seed=0))
+        cfg = harness.TrainConfig(model="deep_irt", seq_len=L, epochs=1, batch_size=B,
+                                  mem_slots=N, state_dim=d, feature_dim=d, seed=0)
+        peak = peak_bytes(lambda: harness.train(cfg, ds))
+        assert peak < history, peak / history
 
 
 class TestNoGrad:
@@ -668,14 +710,6 @@ class TestNoGrad:
         # per-block temporaries together
         B, L, N, d, hs = 8, 500, 16, 16, 8
         S = B * L
-
-        def peak_bytes(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
         time_order = peak_bytes(lambda: ad._time_blocks([L] * B, S))
         ids, lengths = np.arange(S), [L] * B

@@ -109,6 +109,14 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    def test_config_not_utf8_exits_1(self, tmp_path, data_file, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"lr": 0.1, "model": "d\xe9ep_irt"}')
+        code = main(["train", "--config", str(cfg_path), "--data", data_file,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert f"error: config {cfg_path} is not UTF-8" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_1(self, tmp_path, data_file, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epoch": 3, "lr": 0.1}))
@@ -304,6 +312,23 @@ class TestExports:
         assert code == 0
         printed = capsys.readouterr().out
         assert "pearson(deep_irt_beta, item_analysis) = 1.0000" in printed
+
+    @pytest.mark.parametrize("text,message", [
+        (b"question_id,difficulty\n1,0.5\n", " has no source column"),
+        (b"question_id,source,difficulty\n1,irt,0.5\n2,irt,abc\n",
+         ", line 3: could not convert string to float: 'abc'"),
+        (b"question_id,source,difficulty\n1,irt\n", ", line 2: "),
+        (b"question_id,source,difficulty\n1,\xe9,0.5\n", " is not UTF-8"),
+    ], ids=["no_source_column", "bad_difficulty", "short_row", "not_utf8"])
+    def test_bad_join_csv_exits_1(self, tmp_path, ckpt, capsys, text, message):
+        join = tmp_path / "join.csv"
+        join.write_bytes(text)
+        out = tmp_path / "joined.csv"
+        code = main(["export-difficulty", "--ckpt", ckpt, "--out", str(out),
+                     "--join", str(join)])
+        assert code == 1
+        assert f"error: difficulty CSV {join}{message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_export_trajectory(self, tmp_path, ckpt, data_file, capsys):
         out = tmp_path / "traj.csv"

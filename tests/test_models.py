@@ -639,11 +639,13 @@ class TestItemBankInvariance:
 
 
 class TestGraphRelease:
-    """backward drops each node's closure and parents as it runs it, so no
-    graph (nor a scan's saved states) outlives its sweep."""
+    """backward drops each node's closure, parents and gradient as it runs
+    it, so no graph (nor a scan's saved states) outlives its sweep; leaves
+    and the loss keep their gradients."""
 
-    @pytest.mark.parametrize("model", ["dkvmn", "deep_irt", "dkt"])
-    def test_no_node_keeps_its_closure(self, rng, model):
+    def loss_and_ops(self, rng, model):
+        """A model's loss on a small batch, its parameters, and every op
+        node of its graph."""
         params = init_params(TestFusedMatchesOracle.ARCHS[model], std=0.4, seed=0)
         batch = make_batch([random_steps(rng, n, 6) for n in (5, 3, 7)], 7, 6)
         loss = sequence_loss(forward(params, batch))
@@ -653,7 +655,11 @@ class TestGraphRelease:
             if id(node) not in nodes:
                 nodes[id(node)] = node
                 stack.extend(node._parents)
-        ops = [n for n in nodes.values() if n._backward is not None]
+        return loss, params, [n for n in nodes.values() if n._backward is not None]
+
+    @pytest.mark.parametrize("model", ["dkvmn", "deep_irt", "dkt"])
+    def test_no_node_keeps_its_closure(self, rng, model):
+        loss, params, ops = self.loss_and_ops(rng, model)
         scan = "lstm_scan" if model == "dkt" else "memory_scan"
         assert scan in {n.op for n in ops}
         ad.backward(loss)
@@ -663,6 +669,15 @@ class TestGraphRelease:
             assert p.grad is not None and p._parents == () and p._backward is None
         with pytest.raises(ad.GraphError, match="already ran"):
             ad.backward(loss)
+
+    @pytest.mark.parametrize("model", ["dkvmn", "deep_irt", "dkt"])
+    def test_only_leaves_and_the_loss_keep_a_gradient(self, rng, model):
+        loss, params, ops = self.loss_and_ops(rng, model)
+        ad.backward(loss)
+        assert loss.grad is not None
+        for node in ops:
+            assert node is loss or node.grad is None, node.op
+        assert all(p.grad is not None for p in params.parameters())
 
 
 class TestNoGradForward:
