@@ -2,13 +2,14 @@
 
 Every tensor is a 2-D float64 matrix.  A fresh graph is built per batch and
 discarded after the optimizer step; gradients accumulate across fan-out and
-are zeroed inside ``adam_step``.  Inside ``no_grad()`` no graph is built at
-all: every op returns a leaf and the scans keep no backward state.
+are zeroed inside ``adam_step``.  There is no grad mode: an op builds a
+node only when one of its inputs requires a gradient, so an op on constants
+returns a leaf and a scan on constants keeps no backward state.  Inference
+runs on constant copies of the parameters (``_Params.frozen`` in ``models``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -111,23 +112,8 @@ def constant(values):
     return Tensor(values, requires_grad=False)
 
 
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Build no graph inside the block (for inference); nests, and restores
-    the previous mode on exit, also on an exception."""
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
 def _needs_grad(inputs) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in inputs)
+    return any(t.requires_grad for t in inputs)
 
 
 def _node(data, op, parents, backward):
@@ -479,16 +465,16 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     P x N x d factor tables are no larger than what the scan holds anyway
     they are built once per call and each block gathers its rows from them;
     otherwise each block forms its rows into a reused buffer.  Both give the
-    same bits.  Each block's reads go straight to their cells' rows.
+    same bits.  Each block gathers its cells' input rows by id, with or
+    without a gradient, and its reads go straight to their cells' rows.
 
-    When a gradient is needed, all rows run as one group: forward gathers
-    the cells' inputs in time order once and keeps the memory each cell
-    read (S x N x d, so the tables are built when 2P <= S), and the
-    reverse-scan backward carries the gradient in the forward's form,
-    G <- G * keep + w (x) g_read.  A history above HISTORY_BYTES is kept at
-    the first of every K blocks only; backward walks those segments last to
-    first and recomputes each one's memories with the forward's own write,
-    so the gradients keep their bits.  Without a gradient, rows never
+    When a gradient is needed, all rows run as one group: forward keeps the
+    memory each cell read (S x N x d, so the tables are built when 2P <= S),
+    and the reverse-scan backward carries the gradient in the forward's
+    form, G <- G * keep + w (x) g_read.  A history above HISTORY_BYTES is
+    kept at the first of every K blocks only; backward walks those segments
+    last to first and recomputes each one's memories with the forward's own
+    write, so the gradients keep their bits.  Without a gradient, rows never
     interact, so they run in groups of about GROUP_BYTES of memory, each
     with its own time blocks and live memory, and the tables are built when
     they are no larger than the S x d output (2PN <= S).
@@ -510,15 +496,18 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         np.subtract(1.0, keep, out=keep)
         put = np.einsum("pn,pd->pnd", w.data, add_vec.data)
 
-    def write(m, f, j, wb, eb, ab):
-        """M <- M * keep + put on the memories m of the cells of rows j."""
+    def keep_rows(f, j, wb):
+        """keep for the cells of rows j (w rows wb), into the buffer f."""
         if tables:    # ids are checked, and "clip" skips take's buffering
-            m *= np.take(keep, j, axis=0, out=f, mode="clip")
-            m += np.take(put, j, axis=0, out=f, mode="clip")
-        else:
-            np.einsum("bn,bd->bnd", wb, eb, out=f)
-            m *= np.subtract(1.0, f, out=f)
-            m += np.einsum("bn,bd->bnd", wb, ab, out=f)
+            return np.take(keep, j, axis=0, out=f, mode="clip")
+        np.einsum("bn,bd->bnd", wb, erase.data[j], out=f)
+        return np.subtract(1.0, f, out=f)
+
+    def write(m, f, j, wb):
+        """M <- M * keep + put on the memories m of the cells of rows j."""
+        m *= keep_rows(f, j, wb)
+        m += (np.take(put, j, axis=0, out=f, mode="clip") if tables
+              else np.einsum("bn,bd->bnd", wb, add_vec.data[j], out=f))
 
     size = max(1, B if save else min(B, GROUP_BYTES // (8 * N * d)))
     mem, buf = np.empty((size, N, d)), np.empty((size, N, d))
@@ -530,7 +519,6 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         order += first[g0]
         rows = ids[order]
         if save:
-            ws, es, as_ = w.data[rows], erase.data[rows], add_vec.data[rows]
             K = 1 if 8 * S * N * d <= HISTORY_BYTES else 1 + math.isqrt(len(blocks) - 1)
             # the memory read by the first block of each segment of K
             spots = np.cumsum([0] + [hi - lo for lo, hi in blocks[::K]]).tolist()
@@ -538,15 +526,11 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         mem[:] = mem0.data
         for t, (lo, hi) in enumerate(blocks):
             m, f, j = mem[:hi - lo], buf[:hi - lo], rows[lo:hi]
-            if save:
-                wb, eb, ab = ws[lo:hi], es[lo:hi], as_[lo:hi]
-                if t % K == 0:
-                    kept[spots[t // K]:spots[t // K + 1]] = m
-            else:
-                wb = w.data[j]
-                eb, ab = (None, None) if tables else (erase.data[j], add_vec.data[j])
+            if save and t % K == 0:
+                kept[spots[t // K]:spots[t // K + 1]] = m
+            wb = w.data[j]
             reads[order[lo:hi]] = np.matmul(wb[:, None, :], m)[:, 0, :]
-            write(m, f, j, wb, eb, ab)
+            write(m, f, j, wb)
 
     # with a gradient there is one group, so order and blocks cover all rows
     def backward(g, out):
@@ -567,25 +551,21 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
                 n = nhi - nlo
                 m = redo[nlo - base:nhi - base]
                 m[:] = mems[-1][:n]
-                write(m, buf[:n], rows[lo:lo + n], ws[lo:lo + n], es[lo:lo + n],
-                      as_[lo:lo + n])
+                j = rows[lo:lo + n]
+                write(m, buf[:n], j, w.data[j])
                 mems.append(m)
             for (lo, hi), m in zip(reversed(seg), reversed(mems)):
-                gm, f = gmem[:hi - lo], buf[:hi - lo]
-                wb = ws[lo:hi]
+                gm, f, j, gr = gmem[:hi - lo], buf[:hi - lo], rows[lo:hi], gs[lo:hi]
+                wb = w.data[j]
                 w_row = wb[:, None, :]
-                e_col, a_col, gr = es[lo:hi, :, None], as_[lo:hi, :, None], gs[lo:hi]
                 gm_m = np.multiply(gm, m, out=buf_gm[:hi - lo])
-                gw[lo:hi] = (np.matmul(gm, a_col) - np.matmul(gm_m, e_col)
+                gw[lo:hi] = (np.matmul(gm, add_vec.data[j][:, :, None])
+                             - np.matmul(gm_m, erase.data[j][:, :, None])
                              + np.matmul(m, gr[:, :, None]))[:, :, 0]
                 ge[lo:hi] = -np.matmul(w_row, gm_m)[:, 0, :]
                 ga[lo:hi] = np.matmul(w_row, gm)[:, 0, :]
                 # the gradient before the write: G * keep + w (x) g_read, in place
-                if tables:
-                    gm *= np.take(keep, rows[lo:hi], axis=0, out=f, mode="clip")
-                else:
-                    np.einsum("bn,bd->bnd", wb, es[lo:hi], out=f)
-                    gm *= np.subtract(1.0, f, out=f)
+                gm *= keep_rows(f, j, wb)
                 gm += np.einsum("bn,bd->bnd", wb, gr, out=f)
         mem0.accumulate_grad(gmem.sum(axis=0))
         g_tables = _sum_onto_rows(ids, P, g_in, order)
@@ -699,7 +679,7 @@ def backward(loss: Tensor) -> None:
         raise GraphError(f"backward needs a 1x1 loss tensor, got shape {loss.shape}")
     if not loss.requires_grad:
         raise GraphError("backward needs a loss that requires grad; this one was "
-                         "built from constants only or under no_grad()")
+                         "built from constants only")
     nodes = []
     visited = set()
     stack = [loss]

@@ -25,12 +25,7 @@ def _given(args, cls):
 
 
 def _load_config(args) -> harness.TrainConfig:
-    d = {}
-    if getattr(args, "config", None):
-        try:
-            d = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"config {args.config} is not UTF-8: {exc}") from None
+    d = json.loads(datasets.read_utf8(args.config, "config")) if args.config else {}
     if isinstance(d, dict):   # from_dict rejects any other JSON value
         d = {**d, **_given(args, harness.TrainConfig)}   # flags win over the file
     return harness.TrainConfig.from_dict(d)

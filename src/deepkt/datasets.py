@@ -114,10 +114,19 @@ def encode_interaction(q, a, num_kcs: int):
     return q + a * num_kcs
 
 
+def read_utf8(path, what: str) -> str:
+    """The text of the ``what`` file at ``path``; bytes that are not UTF-8
+    raise ValidationError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
 def load_sequences(path, num_kcs: int | None = None, name: str | None = None) -> Dataset:
     """Read the triplet-line format: count line, question-id line, answer line."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path, "sequence file").splitlines()
     # drop trailing blank lines only; blanks in the middle are format errors
     while lines and lines[-1].strip() == "":
         lines.pop()

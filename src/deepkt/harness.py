@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from . import baselines, metrics, models
-from .autodiff import AdamState, adam_step, backward, clip_global_norm, no_grad
+from .autodiff import AdamState, adam_step, backward, clip_global_norm
 from .datasets import Dataset, ValidationError, kfold, pad_and_mask, split_train_test
 from .metrics import PredictionSet, aggregate_trials, trial_metrics
 
@@ -137,14 +137,13 @@ def train(config: TrainConfig, dataset: Dataset):
 
 def evaluate(params, dataset: Dataset, config: TrainConfig,
              eval_batch: int = 200) -> PredictionSet:
-    """Forward the whole dataset (no training, no graph) and flatten scored
-    steps; a dataset with no steps gives an empty set."""
+    """Forward the whole dataset on frozen parameters (no training, no graph)
+    and flatten scored steps; a dataset with no steps gives an empty set."""
     scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    seqs = dataset.sequences
+    seqs, frozen = dataset.sequences, params.frozen()
     for idx in _batches(len(seqs), eval_batch):
         batch = pad_and_mask([seqs[i] for i in idx], config.seq_len, dataset.num_kcs)
-        with no_grad():
-            s, y = models.prediction_set(models.forward(params, batch))
+        s, y = models.prediction_set(models.forward(frozen, batch))
         scores.append(s)
         labels.append(y)
     return PredictionSet(np.concatenate(scores), np.concatenate(labels))
@@ -259,8 +258,8 @@ def deep_irt_difficulties(params: models.DkvmnParams) -> dict:
     """Per-question difficulty from the trained difficulty head."""
     if params.arch.kind != "deep_irt":
         raise ValidationError("difficulty export needs a Deep-IRT checkpoint")
-    with no_grad():
-        beta = models.difficulty(params, params.A).data[:, 0]
+    frozen = params.frozen()
+    beta = models.difficulty(frozen, frozen.A).data[:, 0]
     return {q + 1: float(beta[q]) for q in range(params.arch.num_kcs)}
 
 
@@ -291,8 +290,7 @@ def export_trajectory(params: models.DkvmnParams, seq) -> list:
     if params.arch.kind != "deep_irt":
         raise ValidationError("trajectory export needs a Deep-IRT checkpoint")
     batch = pad_and_mask([seq], max(len(seq.steps), 1), params.arch.num_kcs)
-    with no_grad():
-        out = models.forward_sequence(params, batch)
+    out = models.forward_sequence(params.frozen(), batch)
     # one row scores every step, so cell t is step t
     rows = []
     for t, (q, a) in enumerate(seq.steps):

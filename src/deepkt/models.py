@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datasets import PaddedBatch, ValidationError, encode_interaction
+from .datasets import PaddedBatch, ValidationError, encode_interaction, read_utf8
 
 ABILITY_SCALE = 3.0  # ability head output is stretched before the IRT link
 PROB_EPS = 1e-7      # clamp for log-loss
@@ -67,6 +67,12 @@ class _Params:
 
     def parameters(self):
         return [getattr(self, n) for n in self._names]
+
+    def frozen(self):
+        """The same parameters as constants that share these arrays, for
+        inference: a forward on them builds no graph."""
+        return type(self)(self.arch,
+                          {n: Tensor(t.data) for n, t in self.named_parameters()})
 
 
 class DkvmnParams(_Params):
@@ -243,17 +249,28 @@ def save_checkpoint(params, path, seed: int = 0) -> None:
 
 
 def load_checkpoint(path):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The parameters that ``save_checkpoint`` wrote to ``path``; a document
+    that does not hold them raises ValidationError naming the file."""
+    doc = json.loads(read_utf8(path, "checkpoint"))
+    # a missing arch or arrays passes here and is named below as lacking
+    if not (isinstance(doc, dict) and isinstance(doc.get("arch", {}), dict)
+            and isinstance(doc.get("arrays", {}), dict)):
+        raise ValidationError(f"checkpoint {path}: the document, its arch and its "
+                              "arrays must be JSON objects")
     try:
         spec = doc["arch"]
         arch = make_arch(spec["kind"], spec["num_kcs"], spec)
         shapes = param_shapes(arch)
-        arrays = {name: np.array(doc["arrays"][name], dtype=np.float64)
-                  for name in shapes}
+        arrays = {name: doc["arrays"][name] for name in shapes}
     except KeyError as exc:
         raise ValidationError(f"checkpoint {path} lacks {exc.args[0]!r}") from None
     for name, shape in shapes.items():
+        try:
+            arrays[name] = np.array(arrays[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError(f"checkpoint {path}: array {name} is not a "
+                                  "matrix of numbers") from None
         if arrays[name].shape != shape:
-            raise ValidationError(f"checkpoint array {name} has shape "
+            raise ValidationError(f"checkpoint {path}: array {name} has shape "
                                   f"{arrays[name].shape}, expected {shape}")
     return _make_params(arch, arrays)

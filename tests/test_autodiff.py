@@ -22,6 +22,12 @@ def scalar_loss(t):
     return sum_all(t)
 
 
+def constants(tensors):
+    """Constant copies of ``tensors`` that share their arrays: inputs that
+    need no gradient, as inference's frozen parameters are."""
+    return [Tensor(t.data) for t in tensors]
+
+
 class TestGemm:
     def test_identity(self, rng):
         x = Tensor(rng.normal(size=(2, 5)))
@@ -513,11 +519,12 @@ class TestTableIds:
         ids = self.ids(rng)
         mem0, w, e, a = self.memory_inputs(rng)
         x, w_h = self.lstm_inputs(rng)
-        for scan in (lambda: ad.memory_scan(mem0, w, e, a, ids, self.LENGTHS),
-                     lambda: ad.lstm_scan(x, ids, w_h, self.LENGTHS)):
-            with_grad = scan()
-            with ad.no_grad():
-                without = scan()
+        for scan, inputs in ((lambda *t: ad.memory_scan(*t, ids, self.LENGTHS),
+                              (mem0, w, e, a)),
+                             (lambda x, w_h: ad.lstm_scan(x, ids, w_h, self.LENGTHS),
+                              (x, w_h))):
+            with_grad = scan(*inputs)
+            without = scan(*constants(inputs))
             np.testing.assert_array_equal(without.data, with_grad.data)
 
     @pytest.mark.parametrize("bad", [-1, 5])
@@ -562,17 +569,18 @@ class TestFactorTables:
         mem0, w, e, a = self.tables(rng, P, N, d)
         target = rng.normal(size=(S, d))
 
-        def scan(tables, ids):
-            return ad.memory_scan(mem0, *tables, ids, lengths)
+        def scan(tables, ids, start=mem0):
+            return ad.memory_scan(start, *tables, ids, lengths)
 
         on_tables = scan((w, e, a), ids)
         per_block = scan([ad.gather_rows(t, ids + 1) for t in (w, e, a)], np.arange(S))
         np.testing.assert_array_equal(on_tables.data, per_block.data)
-        with ad.no_grad():
-            np.testing.assert_array_equal(scan((w, e, a), ids).data, on_tables.data)
-            np.testing.assert_array_equal(
-                scan([Tensor(t.data[ids]) for t in (w, e, a)], np.arange(S)).data,
-                on_tables.data)
+        const_mem0 = Tensor(mem0.data)
+        np.testing.assert_array_equal(
+            scan(constants((w, e, a)), ids, const_mem0).data, on_tables.data)
+        np.testing.assert_array_equal(
+            scan([Tensor(t.data[ids]) for t in (w, e, a)], np.arange(S), const_mem0).data,
+            on_tables.data)
         params = [w, e, a, mem0]
         direct = TestTableIds().scan_grads(scan, params, [w, e, a], ids, False, target)
         gathered = TestTableIds().scan_grads(scan, params, [w, e, a], ids, True, target)
@@ -602,8 +610,7 @@ class TestFactorTables:
         mem0, w, e, a = self.tables(rng, P, N, d)
         ids = rng.integers(0, P, size=S) if P < S else np.arange(S)
         with_grad = ad.memory_scan(mem0, w, e, a, ids, lengths)
-        with ad.no_grad():
-            grouped = ad.memory_scan(mem0, w, e, a, ids, lengths)
+        grouped = ad.memory_scan(*constants((mem0, w, e, a)), ids, lengths)
         np.testing.assert_array_equal(grouped.data, with_grad.data)
         rows, cols = ragged_cells(lengths, max(lengths))
         expect = memory_scan_loop(mem0.data, w.data[ids], e.data[ids], a.data[ids],
@@ -621,8 +628,8 @@ class TestFactorTables:
         ids, lengths = rng.integers(0, P, size=S), [L] * B
 
         time_order = peak_bytes(lambda: ad._time_blocks(lengths, S))
-        with ad.no_grad():
-            peak = peak_bytes(lambda: ad.memory_scan(mem0, w, e, a, ids, lengths))
+        inputs = constants((mem0, w, e, a))
+        peak = peak_bytes(lambda: ad.memory_scan(*inputs, ids, lengths))
         out_bytes, table_bytes = S * d * 8, 2 * P * N * d * 8
         bound = out_bytes + table_bytes + 2 * group * N * d * 8 + time_order
         assert bound < out_bytes + table_bytes + 2 * B * N * d * 8
@@ -689,8 +696,7 @@ class TestNoGrad:
         mem0, w, e, a = TestMemoryScan().inputs(rng, lengths)
         ids = np.arange(sum(lengths))
         with_grad = ad.memory_scan(mem0, w, e, a, ids, lengths)
-        with ad.no_grad():
-            without = ad.memory_scan(mem0, w, e, a, ids, lengths)
+        without = ad.memory_scan(*constants((mem0, w, e, a)), ids, lengths)
         assert with_grad._parents and not without._parents
         np.testing.assert_array_equal(without.data, with_grad.data)
 
@@ -699,8 +705,8 @@ class TestNoGrad:
         x, w_h = TestLstmScan().inputs(rng, lengths)
         ids = np.arange(sum(lengths))
         with_grad = ad.lstm_scan(x, ids, w_h, lengths)
-        with ad.no_grad():
-            without = ad.lstm_scan(x, ids, w_h, lengths)
+        const_x, const_w_h = constants((x, w_h))
+        without = ad.lstm_scan(const_x, ids, const_w_h, lengths)
         assert with_grad._parents and not without._parents
         np.testing.assert_array_equal(without.data, with_grad.data)
 
@@ -713,14 +719,13 @@ class TestNoGrad:
 
         time_order = peak_bytes(lambda: ad._time_blocks([L] * B, S))
         ids, lengths = np.arange(S), [L] * B
-        mem0, w, e, a = TestMemoryScan().inputs(rng, lengths, N, d)
-        x, w_h = TestLstmScan().inputs(rng, lengths, hs)
+        mem0, w, e, a = constants(TestMemoryScan().inputs(rng, lengths, N, d))
+        x, w_h = constants(TestLstmScan().inputs(rng, lengths, hs))
         scans = [(lambda: ad.memory_scan(mem0, w, e, a, ids, lengths),
                   (w, e, a), d, B * N * d),
                  (lambda: ad.lstm_scan(x, ids, w_h, lengths), (x,), hs, B * 4 * hs)]
         for scan, inputs, out_cols, block_size in scans:
-            with ad.no_grad():
-                peak = peak_bytes(scan)
+            peak = peak_bytes(scan)
             out_bytes = S * out_cols * 8
             bound = out_bytes + time_order + 8 * block_size * 8
             smallest_input = min(t.data.nbytes for t in inputs)
@@ -729,33 +734,20 @@ class TestNoGrad:
 
     def test_outputs_are_leaves(self, rng):
         x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        with ad.no_grad():
-            outs = [ad.sigmoid(x @ x.T), sum_all(x), ad.tile_rows(x, 2),
-                    ad.lstm_scan(Tensor(rng.normal(size=(2, 8))), np.arange(2),
-                                 Tensor(rng.normal(size=(2, 8)), requires_grad=True),
-                                 [2])]
+        (c,) = constants([x])
+        w_h = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+        outs = [ad.sigmoid(c @ c.T), sum_all(c), ad.tile_rows(c, 2),
+                ad.lstm_scan(Tensor(rng.normal(size=(2, 8))), np.arange(2),
+                             *constants([w_h]), [2])]
         for out in outs:
             assert not out.requires_grad
             assert out._parents == () and out._backward is None
-        assert x.requires_grad    # parameters keep their flag
-
-    def test_mode_restored_after_nesting_and_exception(self):
-        x = Tensor([[1.0]], requires_grad=True)
-        with ad.no_grad():
-            with ad.no_grad():
-                pass
-            assert not ad.scale(x, 2.0).requires_grad
-        assert ad.scale(x, 2.0).requires_grad
-        with pytest.raises(RuntimeError):
-            with ad.no_grad():
-                raise RuntimeError("inside")
-        assert ad.scale(x, 2.0).requires_grad
+        assert x.requires_grad and w_h.requires_grad   # parameters keep their flag
 
     def test_backward_rejects_loss_without_grad(self, rng):
         x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        with ad.no_grad():
-            loss = sum_all(x)
-        with pytest.raises(ad.GraphError, match="no_grad"):
+        loss = sum_all(*constants([x]))
+        with pytest.raises(ad.GraphError, match="constants only"):
             backward(loss)
         with pytest.raises(ad.GraphError, match="requires grad"):
             backward(sum_all(ad.constant(np.ones((2, 2)))))

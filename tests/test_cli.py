@@ -388,6 +388,63 @@ class TestExports:
         assert code == 1
 
 
+class TestInputFiles:
+    """An input file that cannot be read as what it should hold is an input
+    error: exit 1, with the file's path in the message."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        path = tmp_path / "model.json"
+        arch = models.make_arch("deep_irt", 8, vars(TrainConfig()))
+        models.save_checkpoint(models.init_params(arch), path)
+        return path
+
+    def run(self, argv, path, capsys):
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error: ") and str(path) in err, err
+        return err
+
+    @pytest.mark.parametrize("command", ["train", "grid", "experiment", "baseline",
+                                         "export-trajectory"])
+    def test_data_not_utf8(self, tmp_path, ckpt, capsys, command):
+        data = tmp_path / "data.txt"
+        data.write_bytes(b"2\n1,2\n1,0\n\xe9\n")
+        out = tmp_path / "out"
+        argv = {"train": ["--out", out] + FAST, "grid": FAST,
+                "experiment": ["--report", out] + FAST,
+                "baseline": ["--model", "pfa", "--report", out],
+                "export-trajectory": ["--ckpt", ckpt, "--student", "0", "--out", out]}
+        err = self.run([command, "--data", data] + argv[command], data, capsys)
+        assert f"sequence file {data} is not UTF-8" in err
+        assert not out.exists()
+
+    def test_checkpoint_not_utf8(self, tmp_path, ckpt, capsys):
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"deep_irt"', b'"d\xe9ep_irt"'))
+        err = self.run(["export-difficulty", "--ckpt", ckpt, "--out", tmp_path / "d.csv"],
+                       ckpt, capsys)
+        assert f"checkpoint {ckpt} is not UTF-8" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [doc], "must be JSON objects"),
+        (lambda doc: {**doc, "arch": list(doc["arch"].values())}, "must be JSON objects"),
+        (lambda doc: {**doc, "arrays": [doc["arrays"]]}, "must be JSON objects"),
+        (lambda doc: {**doc, "arrays": {**doc["arrays"], "W_beta": [["x"]] * 50}},
+         "array W_beta is not a matrix of numbers"),
+        (lambda doc: {**doc, "arrays": {**doc["arrays"], "b_beta": [[1.0], [1.0, 2.0]]}},
+         "array b_beta is not a matrix of numbers"),
+        (lambda doc: {**doc, "arrays": {**doc["arrays"], "b_beta": [[1.0, 2.0]]}},
+         "array b_beta has shape (1, 2), expected (1, 1)"),
+    ], ids=["document_list", "arch_list", "arrays_list", "string_entry", "ragged",
+            "wrong_shape"])
+    def test_malformed_checkpoint(self, tmp_path, ckpt, capsys, edit, message):
+        ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+        err = self.run(["export-difficulty", "--ckpt", ckpt, "--out", tmp_path / "d.csv"],
+                       ckpt, capsys)
+        assert f"checkpoint {ckpt}: " in err and message in err
+
+
 class TestEntryPoint:
     def test_console_script_installed(self, tmp_path):
         """`pip install` would register `deepkt = deepkt.cli:main`.

@@ -693,8 +693,7 @@ class TestNoGradForward:
         lengths = rng.integers(1, 12, size=5).tolist()
         batch = make_batch([random_steps(rng, n, 6) for n in lengths], 7, 6)
         with_grad = forward(params, batch)
-        with ad.no_grad():
-            without = forward(params, batch)
+        without = forward(params.frozen(), batch)
         assert with_grad.prob_tensor.requires_grad
         prob = without.prob_tensor
         assert not prob.requires_grad
@@ -705,3 +704,69 @@ class TestNoGradForward:
             np.testing.assert_array_equal(getattr(without, name),
                                           getattr(with_grad, name),
                                           err_msg=name)
+
+
+class TestFrozenParams:
+    """``frozen()`` gives inference its inputs: the same parameters as
+    constants over the same arrays, so a forward on them builds no graph
+    and training's parameters are left as they were."""
+
+    KINDS = ["dkvmn", "deep_irt", "dkt"]
+
+    def params(self, model):
+        return init_params(TestFusedMatchesOracle.ARCHS[model], std=0.4, seed=0)
+
+    @pytest.mark.parametrize("model", KINDS)
+    def test_keeps_class_and_arch(self, model):
+        params = self.params(model)
+        frozen = params.frozen()
+        assert type(frozen) is type(params)
+        assert frozen.arch == params.arch
+        assert [n for n, _ in frozen.named_parameters()] == \
+            [n for n, _ in params.named_parameters()]
+
+    @pytest.mark.parametrize("model", KINDS)
+    def test_shares_every_array(self, model):
+        params = self.params(model)
+        for (name, p), f in zip(params.named_parameters(), params.frozen().parameters()):
+            assert f is not p and np.shares_memory(f.data, p.data), name
+        # so a later training step is what the next frozen copy reads
+        params.parameters()[0].data += 1.0
+        np.testing.assert_array_equal(params.frozen().parameters()[0].data,
+                                      params.parameters()[0].data)
+
+    @pytest.mark.parametrize("model", KINDS)
+    def test_leaves_params_requiring_grad(self, model):
+        params = self.params(model)
+        frozen = params.frozen()
+        assert all(p.requires_grad for p in params.parameters())
+        assert not any(f.requires_grad for f in frozen.parameters())
+
+    @pytest.mark.parametrize("model", KINDS)
+    def test_forward_builds_no_parented_node(self, rng, monkeypatch, model):
+        made = []
+        node = ad._node
+
+        def recording_node(*args):
+            made.append(node(*args))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_node", recording_node)
+        batch = make_batch([random_steps(rng, n, 6) for n in (5, 3, 7)], 7, 6)
+        forward(self.params(model).frozen(), batch)
+        assert made
+        for out in made:
+            assert not out.requires_grad, out.op
+            assert out._parents == () and out._backward is None, out.op
+
+    @pytest.mark.parametrize("model", KINDS)
+    def test_training_graph_backpropagates_after_an_inference_forward(self, rng, model):
+        batch = make_batch([random_steps(rng, n, 6) for n in (5, 3, 7)], 7, 6)
+        expected = self.params(model)
+        ad.backward(sequence_loss(forward(expected, batch)))
+        params = self.params(model)
+        loss = sequence_loss(forward(params, batch))
+        forward(params.frozen(), batch)
+        ad.backward(loss)
+        for (name, p), q in zip(params.named_parameters(), expected.parameters()):
+            np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
