@@ -469,15 +469,17 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     without a gradient, and its reads go straight to their cells' rows.
 
     When a gradient is needed, all rows run as one group: forward keeps the
-    memory each cell read (S x N x d, so the tables are built when 2P <= S),
-    and the reverse-scan backward carries the gradient in the forward's
-    form, G <- G * keep + w (x) g_read.  A history above HISTORY_BYTES is
-    kept at the first of every K blocks only; backward walks those segments
-    last to first and recomputes each one's memories with the forward's own
-    write, so the gradients keep their bits.  Without a gradient, rows never
-    interact, so they run in groups of about GROUP_BYTES of memory, each
-    with its own time blocks and live memory, and the tables are built when
-    they are no larger than the S x d output (2PN <= S).
+    memory each cell read (S x N x d), and the reverse-scan backward carries
+    the gradient in the forward's form, G <- G * keep + w (x) g_read.  A
+    history above HISTORY_BYTES is kept at the first of every K blocks only
+    (about S / K cells); backward walks those segments last to first and
+    recomputes each one's memories with the forward's own write, so the
+    gradients keep their bits.  The tables are built when they are no larger
+    than the memory kept (2PK <= S, K = 1 for a whole history), so they
+    never undo the checkpoints.  Without a gradient, rows never interact, so
+    they run in groups of about GROUP_BYTES of memory, each with its own
+    time blocks and live memory, and the tables are built when they are no
+    larger than the S x d output (2PN <= S).
     """
     P, N = w.shape
     d = mem0.cols
@@ -490,7 +492,9 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
     lengths = _row_lengths(lengths, S)
     B = len(lengths)
     save = _needs_grad((mem0, w, erase, add_vec))
-    tables = 2 * P <= S if save else 2 * P * N <= S
+    # a grad scan keeps the memory of the first of every K time blocks
+    K = 1 if 8 * S * N * d <= HISTORY_BYTES else 1 + math.isqrt(int(lengths.max()) - 1)
+    tables = 2 * P * K <= S if save else 2 * P * N <= S
     if tables:
         keep = np.einsum("pn,pd->pnd", w.data, erase.data)
         np.subtract(1.0, keep, out=keep)
@@ -519,7 +523,6 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
         order += first[g0]
         rows = ids[order]
         if save:
-            K = 1 if 8 * S * N * d <= HISTORY_BYTES else 1 + math.isqrt(len(blocks) - 1)
             # the memory read by the first block of each segment of K
             spots = np.cumsum([0] + [hi - lo for lo, hi in blocks[::K]]).tolist()
             kept = np.empty((spots[-1], N, d))

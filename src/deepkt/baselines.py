@@ -31,15 +31,9 @@ def irt_predict(theta_i, beta_j):
 
 def lookup(table: dict, keys, default: float = 0.0):
     """``table[k]`` for each k of the scalar or array ``keys``; absent: ``default``."""
-    return _lookups((table,), keys, default)[0]
-
-
-def _lookups(tables, keys, default: float = 0.0):
-    """``lookup`` of each table, through one ``np.unique`` of ``keys``."""
     unique, inverse = np.unique(keys, return_inverse=True)
-    unique = unique.tolist()
-    return [np.array([t.get(k, default) for k in unique], dtype=np.float64)[inverse]
-            .reshape(np.shape(keys)) for t in tables]
+    return np.array([table.get(k, default) for k in unique.tolist()],
+                    dtype=np.float64)[inverse].reshape(np.shape(keys))
 
 
 @dataclass
@@ -165,21 +159,26 @@ def build_pfa_features(data: Dataset) -> PfaFeatures:
 
 
 @dataclass
-class PfaCoeffs:
-    alpha: dict
-    rho: dict
-    beta: dict
-    converged: bool = True
-    grad_norm: float = 0.0
+class LogisticFit:
+    """A fitted PFA or LFA model.  An observation on skill ``skills[j]`` with
+    design columns x (``_design_columns``) scores
+        P = sigmoid(theta + sum_c x_c * coef[j, c] - coef[j, -1]),
+    so coef's columns are alpha, rho, beta for PFA and gamma, beta for LFA."""
+    design: str           # "PFA" or "LFA"
+    skills: np.ndarray    # sorted skill ids, one row of coef each
+    coef: np.ndarray      # Q x k
+    theta: float          # LFA's global intercept; 0 for PFA
+    converged: bool
+    grad_norm: float
 
 
-@dataclass
-class LfaCoeffs:
-    theta: float
-    gamma: dict
-    beta: dict
-    converged: bool = True
-    grad_norm: float = 0.0
+def _design_columns(features: PfaFeatures, design: str):
+    """The count columns a design reads: [S, F] for PFA, [S + F] for LFA."""
+    if design == "PFA":
+        return [features.successes, features.failures]
+    if design == "LFA":
+        return [features.successes + features.failures]
+    raise ValidationError(f"unknown design {design!r}")
 
 
 def _block_newton(rows, skill, shared_x, n, y, l2, max_iters, tol):
@@ -229,7 +228,7 @@ def _block_newton(rows, skill, shared_x, n, y, l2, max_iters, tol):
 
 def fit_logistic(features: PfaFeatures, design: str = "PFA",
                  l2: float = L2_PENALTY, max_iters: int = MAX_ITERS,
-                 tol: float = GRAD_TOL):
+                 tol: float = GRAD_TOL) -> LogisticFit:
     """Fit PFA (per-skill alpha/rho/beta) or LFA (global theta, per-skill
     gamma/beta) coefficients by penalized Newton on the per-skill blocks.
 
@@ -237,14 +236,7 @@ def fit_logistic(features: PfaFeatures, design: str = "PFA",
     counts, so the fit runs on the distinct (skill, S, F) cells for PFA and
     (skill, S + F) cells for LFA, each with its size and number of successes."""
     design = design.upper()
-    if design == "PFA":
-        # per skill j: [alpha_j, rho_j, beta_j] with P = sigmoid(aS + rF - b)
-        cols = [features.successes, features.failures]
-    elif design == "LFA":
-        # global theta plus per skill [gamma_j, beta_j]; N_j = S + F
-        cols = [features.successes + features.failures]
-    else:
-        raise ValidationError(f"unknown design {design!r}")
+    cols = _design_columns(features, design)
     skills, skill = np.unique(features.skill, return_inverse=True)
     # one int64 key per cell, skill then counts in mixed radix
     key, size = skill, len(skills)
@@ -264,34 +256,24 @@ def fit_logistic(features: PfaFeatures, design: str = "PFA",
     shared_x = np.full(len(n), float(design == "LFA"))   # theta's feature
     w, theta, converged, grad_norm = _block_newton(rows, skill[member], shared_x,
                                                    n, y, l2, max_iters, tol)
-    coeffs = [dict(zip(skills.tolist(), col)) for col in w.T.tolist()]
-    if design == "LFA":
-        return LfaCoeffs(float(theta), *coeffs, converged=converged,
-                         grad_norm=grad_norm)
-    return PfaCoeffs(*coeffs, converged=converged, grad_norm=grad_norm)
+    return LogisticFit(design, skills, w, float(theta), converged, grad_norm)
 
 
-def _score_skills(z, skill, fitted: dict, model: str):
-    """sigmoid(z) on the skills in ``fitted``, 0.5 elsewhere (one warning)."""
-    seen = np.isin(skill, list(fitted))
+def predict_logistic(fit: LogisticFit, features: PfaFeatures) -> np.ndarray:
+    """P(correct) of each observation of ``features`` under ``fit``; a skill
+    the fit never saw scores 0.5, and one warning names all such skills."""
+    skill = features.skill
+    seen = np.isin(skill, fit.skills)
     if not seen.all():
-        unseen = ", ".join(map(str, np.unique(np.asarray(skill)[~seen]).tolist()))
-        warnings.warn(f"skill {unseen} unseen during {model} fit; predicting 0.5")
-    return np.where(seen, _sigmoid(z), 0.5)[()]
-
-
-def pfa_predict(coeffs: PfaCoeffs, successes, failures, skill):
-    """PFA P(correct) for scalars or equal-shape arrays of counts and skills."""
-    alpha, rho, beta = _lookups((coeffs.alpha, coeffs.rho, coeffs.beta), skill)
-    return _score_skills(alpha * successes + rho * failures - beta, skill,
-                         coeffs.alpha, "PFA")
-
-
-def lfa_predict(coeffs: LfaCoeffs, attempts, skill):
-    """LFA P(correct) for scalars or equal-shape arrays of attempts and skills."""
-    gamma, beta = _lookups((coeffs.gamma, coeffs.beta), skill)
-    z = coeffs.theta + gamma * attempts - beta
-    return _score_skills(z, skill, coeffs.gamma, "LFA")
+        unseen = ", ".join(map(str, np.unique(skill[~seen]).tolist()))
+        warnings.warn(f"skill {unseen} unseen during {fit.design} fit; predicting 0.5")
+    coef = fit.coef[np.searchsorted(fit.skills, skill[seen])]
+    z = fit.theta
+    for x, c in zip(_design_columns(features, fit.design), coef.T):
+        z = z + x[seen] * c
+    scores = np.full(len(skill), 0.5)
+    scores[seen] = _sigmoid(z - coef[:, -1])
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import io
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -25,7 +25,7 @@ def _given(args, cls):
 
 
 def _load_config(args) -> harness.TrainConfig:
-    d = json.loads(datasets.read_utf8(args.config, "config")) if args.config else {}
+    d = datasets.read_json(args.config, "config") if args.config else {}
     if isinstance(d, dict):   # from_dict rejects any other JSON value
         d = {**d, **_given(args, harness.TrainConfig)}   # flags win over the file
     return harness.TrainConfig.from_dict(d)
@@ -114,22 +114,19 @@ def _read_difficulty_csv(path):
     wrote; a missing column, a bad number or bytes that are not UTF-8 raise
     ValidationError naming the file (and the line)."""
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    text = datasets.read_utf8(path, "difficulty CSV")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = {"question_id", "source", "difficulty"} - set(reader.fieldnames or ())
+    if missing:
+        raise ValidationError(
+            f"difficulty CSV {path} has no {', '.join(sorted(missing))} column")
+    for row in reader:
         try:
-            missing = {"question_id", "source", "difficulty"} - set(reader.fieldnames or ())
-            if missing:
-                raise ValidationError(
-                    f"difficulty CSV {path} has no {', '.join(sorted(missing))} column")
-            for row in reader:
-                try:
-                    q, value = int(row["question_id"]), float(row["difficulty"])
-                except (TypeError, ValueError) as exc:   # a short row gives None
-                    raise ValidationError(f"difficulty CSV {path}, line "
-                                          f"{reader.line_num}: {exc}") from None
-                out.setdefault(row["source"], {})[q] = value
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"difficulty CSV {path} is not UTF-8: {exc}") from None
+            q, value = int(row["question_id"]), float(row["difficulty"])
+        except (TypeError, ValueError) as exc:   # a short row gives None
+            raise ValidationError(f"difficulty CSV {path}, line "
+                                  f"{reader.line_num}: {exc}") from None
+        out.setdefault(row["source"], {})[q] = value
     return out
 
 
@@ -228,7 +225,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except (ValidationError, SequenceParseError, IndexOutOfRangeError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -4,6 +4,7 @@ synthetic student generator."""
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -121,6 +122,15 @@ def read_utf8(path, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
+def read_json(path, what: str):
+    """The JSON value in the ``what`` file at ``path``; text that is not UTF-8
+    or not JSON raises ValidationError naming the file."""
+    try:
+        return json.loads(read_utf8(path, what))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not JSON: {exc}") from None
 
 
 def load_sequences(path, num_kcs: int | None = None, name: str | None = None) -> Dataset:

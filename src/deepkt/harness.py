@@ -158,13 +158,10 @@ def evaluate_baseline(model: str, train_ds: Dataset, test_ds: Dataset,
     """Fit a classical model on the train split and score test steps online.
     Each split is flattened once, on first use (``Dataset.columns``)."""
     if model in ("pfa", "lfa"):
+        fit = baselines.fit_logistic(baselines.build_pfa_features(train_ds),
+                                     design=model.upper())
         test = baselines.build_pfa_features(test_ds)
-        coeffs = baselines.fit_logistic(baselines.build_pfa_features(train_ds),
-                                        design=model.upper())
-        scores = (baselines.pfa_predict(coeffs, test.successes, test.failures, test.skill)
-                  if model == "pfa" else
-                  baselines.lfa_predict(coeffs, test.successes + test.failures, test.skill))
-        return PredictionSet(scores, test.label)
+        return PredictionSet(baselines.predict_logistic(fit, test), test.label)
     # IRT and item analysis score a step by its question alone
     _, skill, label = test_ds.columns
     if model == "irt":

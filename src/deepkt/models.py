@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datasets import PaddedBatch, ValidationError, encode_interaction, read_utf8
+from .datasets import PaddedBatch, ValidationError, encode_interaction, read_json
 
 ABILITY_SCALE = 3.0  # ability head output is stretched before the IRT link
 PROB_EPS = 1e-7      # clamp for log-loss
@@ -42,15 +42,18 @@ KINDS = ("dkt", "dkvmn", "deep_irt")
 
 def make_arch(kind: str, num_kcs: int, sizes: dict):
     """Architecture of a model kind; ``sizes`` maps the size names that kind
-    needs (a TrainConfig as a dict, or a checkpoint's arch spec)."""
+    needs (a TrainConfig as a dict, or a checkpoint's arch spec).  num_kcs
+    and each size must be an int >= 1."""
+    if kind not in KINDS:
+        raise ValidationError(f"{kind!r} is not a deep model kind ({', '.join(KINDS)})")
+    names = ("hidden",) if kind == "dkt" else ("mem_slots", "state_dim", "feature_dim")
+    given = {"num_kcs": num_kcs, **{name: sizes[name] for name in names}}
+    for name, value in given.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValidationError(f"{name} must be an int >= 1, got {value!r}")
     if kind == "dkt":
-        return DktArch(num_kcs, hidden=sizes["hidden"])
-    if kind in ("dkvmn", "deep_irt"):
-        return MemoryArch(num_kcs, mem_slots=sizes["mem_slots"],
-                          state_dim=sizes["state_dim"],
-                          feature_dim=sizes["feature_dim"],
-                          deep_irt=(kind == "deep_irt"))
-    raise ValidationError(f"{kind!r} is not a deep model kind ({', '.join(KINDS)})")
+        return DktArch(**given)
+    return MemoryArch(**given, deep_irt=(kind == "deep_irt"))
 
 
 class _Params:
@@ -251,7 +254,7 @@ def save_checkpoint(params, path, seed: int = 0) -> None:
 def load_checkpoint(path):
     """The parameters that ``save_checkpoint`` wrote to ``path``; a document
     that does not hold them raises ValidationError naming the file."""
-    doc = json.loads(read_utf8(path, "checkpoint"))
+    doc = read_json(path, "checkpoint")
     # a missing arch or arrays passes here and is named below as lacking
     if not (isinstance(doc, dict) and isinstance(doc.get("arch", {}), dict)
             and isinstance(doc.get("arrays", {}), dict)):
@@ -264,6 +267,8 @@ def load_checkpoint(path):
         arrays = {name: doc["arrays"][name] for name in shapes}
     except KeyError as exc:
         raise ValidationError(f"checkpoint {path} lacks {exc.args[0]!r}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"checkpoint {path}: {exc}") from None
     for name, shape in shapes.items():
         try:
             arrays[name] = np.array(arrays[name], dtype=np.float64)

@@ -11,6 +11,7 @@ per-step baseline scoring and the run-by-run rank loop are the references for
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -200,16 +201,11 @@ def fit_logistic_dense(features, design, l2=baselines.L2_PENALTY,
         warnings.warn("possible perfect separation: a coefficient exceeded 10")
 
     if design == "PFA":
-        return baselines.PfaCoeffs(
-            alpha={j: float(w[3 * idx[j]]) for j in skills},
-            rho={j: float(w[3 * idx[j] + 1]) for j in skills},
-            beta={j: float(w[3 * idx[j] + 2]) for j in skills},
-            converged=converged, grad_norm=grad_norm)
-    return baselines.LfaCoeffs(
-        theta=float(w[0]),
-        gamma={j: float(w[1 + 2 * idx[j]]) for j in skills},
-        beta={j: float(w[2 + 2 * idx[j]]) for j in skills},
-        converged=converged, grad_norm=grad_norm)
+        theta, coef = 0.0, w.reshape(-1, 3)
+    else:
+        theta, coef = float(w[0]), w[1:].reshape(-1, 2)
+    return baselines.LogisticFit(design, np.array(skills, dtype=features.skill.dtype),
+                                 coef, theta, converged, grad_norm)
 
 
 def build_pfa_features_loop(seqs):
@@ -300,11 +296,13 @@ def fit_irt_loop(first_attempts, l2=baselines.L2_PENALTY,
 
 
 def evaluate_baseline_per_step(model, train_ds, test_ds, min_students=10):
-    """Score each test step with one scalar predictor call, counting the
-    student's earlier attempts as they happen."""
+    """Score each test step on its own, counting the student's earlier
+    attempts as they happen; PFA and LFA by their scalar formulas from the
+    fit's coefficient row of the step's skill (an unseen skill scores 0.5)."""
     if model in ("pfa", "lfa"):
-        feats = baselines.build_pfa_features(train_ds)
-        coeffs = baselines.fit_logistic(feats, design=model.upper())
+        fit = baselines.fit_logistic(baselines.build_pfa_features(train_ds),
+                                     design=model.upper())
+        rows = dict(zip(fit.skills.tolist(), fit.coef.tolist()))
     elif model == "irt":
         fit = baselines.fit_irt(baselines.first_attempts(train_ds))
     else:
@@ -314,10 +312,16 @@ def evaluate_baseline_per_step(model, train_ds, test_ds, min_students=10):
         counts = {}
         for q, a in seq.steps:
             s, f = counts.get(q, (0, 0))
-            if model == "pfa":
-                scores.append(baselines.pfa_predict(coeffs, s, f, q))
-            elif model == "lfa":
-                scores.append(baselines.lfa_predict(coeffs, s + f, q))
+            if model in ("pfa", "lfa"):
+                if q not in rows:
+                    z = 0.0
+                elif model == "pfa":
+                    alpha, rho, beta = rows[q]
+                    z = alpha * s + rho * f - beta
+                else:
+                    gamma, beta = rows[q]
+                    z = fit.theta + gamma * (s + f) - beta
+                scores.append(1.0 / (1.0 + math.exp(-z)))
             elif model == "irt":
                 scores.append(baselines.irt_predict(0.0, fit.beta[q])
                               if q in fit.beta else 0.5)

@@ -672,6 +672,25 @@ class TestHistoryCheckpoints:
         for name, x, y in zip(["reads", "mem0", "w", "erase", "add"], full, kept):
             np.testing.assert_array_equal(x, y, err_msg=name)
 
+    def test_above_the_budget_no_tables_as_large_as_the_history(self, monkeypatch):
+        # at P = S / 2 the two P x N x d tables weigh the whole S x N x d
+        # history, so building them would undo the checkpoints: the scan
+        # peaks like the per-block side one row further (P = S / 2 + 1)
+        lengths, N, d = [50] * 8, 16, 32
+        S = sum(lengths)
+        monkeypatch.setattr(ad, "HISTORY_BYTES", 8 * S * N * d - 1)
+        rng = np.random.default_rng(0)
+        target = Tensor(rng.normal(size=(S, d)))
+
+        def peak(P):
+            mem0, w, e, a = TestFactorTables().tables(rng, P, N, d)
+            ids = rng.integers(0, P, size=S)
+            return peak_bytes(lambda: backward(scalar_loss(ad.mul(
+                ad.memory_scan(mem0, w, e, a, ids, lengths), target))))
+
+        half, past_half = peak(S // 2), peak(S // 2 + 1)
+        assert half <= 1.1 * past_half, (half, past_half)
+
     def test_deep_irt_batch_above_the_budget_peaks_below_its_history(self):
         # one training batch of B=32, L=50, N=40, d=80 saves a 41 MB history
         # when it keeps every cell's memory, and peaks above 1.6 histories

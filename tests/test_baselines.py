@@ -6,10 +6,10 @@ import pytest
 
 import oracle
 from deepkt import baselines
-from deepkt.baselines import (FirstAttempts, IrtParams, LfaCoeffs, PfaCoeffs,
-                              PfaFeatures, build_pfa_features, first_attempts,
-                              fit_irt, fit_logistic, irt_predict, item_analysis,
-                              lfa_predict, pfa_predict)
+from deepkt.baselines import (FirstAttempts, IrtParams, LogisticFit, PfaFeatures,
+                              build_pfa_features, first_attempts, fit_irt,
+                              fit_logistic, irt_predict, item_analysis,
+                              predict_logistic)
 from deepkt.datasets import (Dataset, InteractionSequence, SyntheticConfig,
                              ValidationError, generate_synthetic)
 from deepkt.metrics import pearson
@@ -207,9 +207,10 @@ class TestFitLogistic:
         # one skill, no prior attempts: beta is the only active coefficient
         seqs = [seq(i, [(1, int(rng.random() < 0.8))]) for i in range(4000)]
         feats = build_pfa_features(data(seqs))
-        coeffs = fit_logistic(feats, design="PFA")
+        fit = fit_logistic(feats, design="PFA")
         rate = feats.label.mean()
-        assert sigmoid(-coeffs.beta[1]) == pytest.approx(rate, abs=1e-3)
+        np.testing.assert_array_equal(fit.skills, [1])
+        assert sigmoid(-fit.coef[0, 2]) == pytest.approx(rate, abs=1e-3)
 
     def test_pfa_recovers_known_coefficients(self, rng):
         alpha, rho, beta = 0.35, -0.25, -0.4
@@ -221,10 +222,12 @@ class TestFitLogistic:
         from deepkt.baselines import PfaFeatures
         feats = PfaFeatures(skill=np.ones(100000, dtype=np.int64),
                             successes=S, failures=F, label=labels)
-        coeffs = fit_logistic(feats, design="PFA")
-        assert coeffs.alpha[1] == pytest.approx(alpha, rel=0.1)
-        assert coeffs.rho[1] == pytest.approx(rho, rel=0.1)
-        assert coeffs.beta[1] == pytest.approx(beta, rel=0.1)
+        fit = fit_logistic(feats, design="PFA")
+        assert fit.design == "PFA" and fit.theta == 0.0
+        (a, r, b), = fit.coef
+        assert a == pytest.approx(alpha, rel=0.1)
+        assert r == pytest.approx(rho, rel=0.1)
+        assert b == pytest.approx(beta, rel=0.1)
 
     def test_lfa_recovers_known_coefficients(self, rng):
         theta, gamma, beta = 0.3, 0.2, 0.5
@@ -236,10 +239,12 @@ class TestFitLogistic:
         S = np.floor(N / 2)
         feats = PfaFeatures(skill=np.ones(100000, dtype=np.int64),
                             successes=S, failures=N - S, label=labels)
-        coeffs = fit_logistic(feats, design="LFA")
-        assert coeffs.gamma[1] == pytest.approx(gamma, rel=0.1)
+        fit = fit_logistic(feats, design="LFA")
+        assert fit.design == "LFA"
+        (g, b), = fit.coef
+        assert g == pytest.approx(gamma, rel=0.1)
         # theta and beta are only identified through theta - beta
-        assert coeffs.theta - coeffs.beta[1] == pytest.approx(theta - beta, abs=0.05)
+        assert fit.theta - b == pytest.approx(theta - beta, abs=0.05)
 
     def test_per_skill_coefficients_independent(self, rng):
         # skill 2 is much harder than skill 1
@@ -248,13 +253,17 @@ class TestFitLogistic:
             a1 = int(rng.random() < 0.9)
             a2 = int(rng.random() < 0.2)
             seqs.append(seq(i, [(1, a1), (2, a2)]))
-        coeffs = fit_logistic(build_pfa_features(data(seqs)), design="PFA")
-        assert coeffs.beta[2] > coeffs.beta[1]
+        fit = fit_logistic(build_pfa_features(data(seqs)), design="PFA")
+        np.testing.assert_array_equal(fit.skills, [1, 2])
+        assert fit.coef[1, 2] > fit.coef[0, 2]
 
     def test_unknown_design(self):
         feats = build_pfa_features(data([seq(0, [(1, 1)])]))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown design 'AFM'"):
             fit_logistic(feats, design="AFM")
+        fit = LogisticFit("AFM", np.array([1]), np.zeros((1, 2)), 0.0, True, 0.0)
+        with pytest.raises(ValidationError, match="unknown design 'AFM'"):
+            predict_logistic(fit, feats)
 
     @pytest.mark.parametrize("design", ["PFA", "LFA"])
     def test_reports_gradient_norm(self, rng, design):
@@ -307,14 +316,8 @@ def _logistic_cases():
 LOGISTIC_CASES = _logistic_cases()
 
 
-def coefficient_vector(coeffs):
-    if isinstance(coeffs, PfaCoeffs):
-        tables = [coeffs.alpha, coeffs.rho, coeffs.beta]
-        head = []
-    else:
-        tables = [coeffs.gamma, coeffs.beta]
-        head = [coeffs.theta]
-    return np.array(head + [t[j] for t in tables for j in sorted(t)])
+def coefficient_vector(fit):
+    return np.r_[fit.theta, fit.coef.ravel()]
 
 
 class TestBlockNewtonMatchesDense:
@@ -331,11 +334,10 @@ class TestBlockNewtonMatchesDense:
         with warnings.catch_warnings(record=True) as dense_warnings:
             warnings.simplefilter("always")
             dense = oracle.fit_logistic_dense(feats, design, max_iters=max_iters)
-        assert type(fast) is type(dense)
-        if design == "PFA":
-            assert sorted(fast.alpha) == sorted(dense.alpha) == sorted(fast.beta)
-        else:
-            assert sorted(fast.gamma) == sorted(dense.gamma) == sorted(fast.beta)
+        assert type(fast) is type(dense) and fast.design == dense.design == design
+        np.testing.assert_array_equal(fast.skills, dense.skills)
+        k = {"PFA": 3, "LFA": 2}[design]
+        assert fast.coef.shape == dense.coef.shape == (len(fast.skills), k)
         np.testing.assert_allclose(coefficient_vector(fast),
                                    coefficient_vector(dense), rtol=0, atol=1e-8)
         assert fast.converged == dense.converged
@@ -412,38 +414,54 @@ class TestGroupedFit:
             fit_logistic(feats, design="PFA")
 
 
+def observations(skill, successes, failures):
+    return PfaFeatures(skill=np.asarray(skill, dtype=np.int64),
+                       successes=np.asarray(successes, dtype=np.float64),
+                       failures=np.asarray(failures, dtype=np.float64),
+                       label=np.zeros(len(skill), dtype=np.int64))
+
+
 class TestPredictors:
+    """``predict_logistic`` scores PFA and LFA from one fit type."""
+
+    PFA = LogisticFit("PFA", np.array([1, 2]), np.array([[0.3, -0.1, 0.2],
+                                                         [0.1, 0.2, -0.4]]),
+                      0.0, True, 0.0)
+
     def test_pfa_predict_formula(self):
-        coeffs = PfaCoeffs(alpha={1: 0.3}, rho={1: -0.1}, beta={1: 0.2})
         expect = sigmoid(0.3 * 4 - 0.1 * 2 - 0.2)
-        assert pfa_predict(coeffs, 4, 2, 1) == pytest.approx(expect, abs=1e-12)
+        p = predict_logistic(self.PFA, observations([1], [4], [2]))
+        assert p == pytest.approx([expect], abs=1e-12)
 
     def test_lfa_predict_formula(self):
-        coeffs = LfaCoeffs(theta=0.5, gamma={2: 0.1}, beta={2: 0.3})
-        expect = sigmoid(0.5 + 0.1 * 6 - 0.3)
-        assert lfa_predict(coeffs, 6, 2) == pytest.approx(expect, abs=1e-12)
+        fit = LogisticFit("LFA", np.array([2, 5]), np.array([[0.1, 0.3], [0.7, -0.2]]),
+                          0.5, True, 0.0)
+        expect = [sigmoid(0.5 + 0.1 * 6 - 0.3), sigmoid(0.5 + 0.7 * 3 + 0.2)]
+        # LFA reads S + F only
+        p = predict_logistic(fit, observations([2, 5], [2, 0], [4, 3]))
+        assert p == pytest.approx(expect, abs=1e-12)
 
     def test_unseen_skill_half_with_warning(self):
-        coeffs = PfaCoeffs(alpha={1: 0.3}, rho={1: -0.1}, beta={1: 0.2})
-        with pytest.warns(UserWarning, match="unseen"):
-            assert pfa_predict(coeffs, 0, 0, 99) == 0.5
-        lcoeffs = LfaCoeffs(theta=0.0, gamma={}, beta={})
-        with pytest.warns(UserWarning, match="unseen"):
-            assert lfa_predict(lcoeffs, 0, 7) == 0.5
+        with pytest.warns(UserWarning, match="skill 99 unseen during PFA fit"):
+            assert predict_logistic(self.PFA, observations([99], [0], [0])) == [0.5]
+        empty = LogisticFit("LFA", np.array([], dtype=np.int64), np.empty((0, 2)),
+                            0.0, True, 0.0)
+        with pytest.warns(UserWarning, match="skill 7 unseen during LFA fit"):
+            assert predict_logistic(empty, observations([7], [0], [0])) == [0.5]
 
     def test_arrays_score_like_scalars_and_warn_once(self):
-        coeffs = PfaCoeffs(alpha={1: 0.3, 2: 0.1}, rho={1: -0.1, 2: 0.2},
-                           beta={1: 0.2, 2: -0.4})
         S = np.array([4.0, 0.0, 1.0, 3.0])
         F = np.array([2.0, 1.0, 0.0, 5.0])
         skills = np.array([1, 2, 9, 9])
         with pytest.warns(UserWarning, match="skill 9 unseen") as caught:
-            p = pfa_predict(coeffs, S, F, skills)
+            p = predict_logistic(self.PFA, observations(skills, S, F))
         assert len(caught) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            expect = [pfa_predict(coeffs, *args) for args in zip(S, F, skills)]
+            expect = [predict_logistic(self.PFA, observations([q], [s], [f]))[0]
+                      for q, s, f in zip(skills, S, F)]
         np.testing.assert_array_equal(p, expect)
+        assert predict_logistic(self.PFA, observations([], [], [])).shape == (0,)
         assert irt_predict(np.zeros(2), np.array([0.0, 2.0])) == \
             pytest.approx([0.5, irt_predict(0.0, 2.0)], abs=0)
 

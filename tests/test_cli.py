@@ -436,13 +436,39 @@ class TestInputFiles:
          "array b_beta is not a matrix of numbers"),
         (lambda doc: {**doc, "arrays": {**doc["arrays"], "b_beta": [[1.0, 2.0]]}},
          "array b_beta has shape (1, 2), expected (1, 1)"),
+        (lambda doc: arch(doc, num_kcs={}), "num_kcs must be an int >= 1, got {}"),
+        (lambda doc: arch(doc, num_kcs=True), "num_kcs must be an int >= 1, got True"),
+        (lambda doc: arch(doc, mem_slots="2"), "mem_slots must be an int >= 1, got '2'"),
+        (lambda doc: arch(doc, state_dim=0), "state_dim must be an int >= 1, got 0"),
+        (lambda doc: arch(doc, mem_slots=-1), "mem_slots must be an int >= 1, got -1"),
     ], ids=["document_list", "arch_list", "arrays_list", "string_entry", "ragged",
-            "wrong_shape"])
+            "wrong_shape", "num_kcs_object", "num_kcs_bool", "mem_slots_string",
+            "state_dim_zero", "mem_slots_negative"])
     def test_malformed_checkpoint(self, tmp_path, ckpt, capsys, edit, message):
         ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
         err = self.run(["export-difficulty", "--ckpt", ckpt, "--out", tmp_path / "d.csv"],
                        ckpt, capsys)
         assert f"checkpoint {ckpt}: " in err and message in err
+
+
+    def test_checkpoint_not_json(self, tmp_path, ckpt, capsys):
+        ckpt.write_text("{not json")
+        err = self.run(["export-difficulty", "--ckpt", ckpt, "--out", tmp_path / "d.csv"],
+                       ckpt, capsys)
+        assert f"checkpoint {ckpt} is not JSON: " in err
+
+    def test_config_not_json(self, tmp_path, capsys):
+        config, out = tmp_path / "config.json", tmp_path / "model.json"
+        config.write_text("{not json")
+        err = self.run(["train", "--config", config, "--data", tmp_path / "data.txt",
+                        "--out", out], config, capsys)
+        assert f"config {config} is not JSON: " in err
+        assert not out.exists()
+
+
+def arch(doc, **sizes):
+    """A checkpoint document whose arch has ``sizes`` in place of its own."""
+    return {**doc, "arch": {**doc["arch"], **sizes}}
 
 
 class TestEntryPoint:
