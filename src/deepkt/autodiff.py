@@ -10,6 +10,7 @@ runs on constant copies of the parameters (``_Params.frozen`` in ``models``).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -27,13 +28,18 @@ class GraphError(ValueError):
     """Backward called on a node that violates the graph contract."""
 
 
+# creation ids: one shared counter, so tensors built on several threads never
+# share an id (``backward`` orders nodes by it)
+_uids = itertools.count(1)
+
+
 class Tensor:
     """A rows x cols float64 matrix node in the computation graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward",
                  "_uid")
 
-    _counter = 0
+    _counter = 0    # the latest creation id; perfbench counts nodes by it
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=(), backward=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -47,8 +53,7 @@ class Tensor:
         self.op = op
         self._parents = tuple(parents)
         self._backward = backward
-        Tensor._counter += 1
-        self._uid = Tensor._counter
+        self._uid = Tensor._counter = next(_uids)
 
     @property
     def rows(self):
@@ -70,11 +75,13 @@ class Tensor:
             raise ShapeMismatchError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def accumulate_grad(self, g):
+    def accumulate_grad(self, g, own=False):
+        """Add g to the gradient.  The first g is copied unless ``own`` says
+        it is a fresh array that nothing else holds or writes."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if own else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -243,19 +250,23 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(y, "softmax_rows", (x,), backward)
 
 
+def _zero_based(ids, rows, op):
+    """1-based ids into ``rows`` rows (or columns), checked, as 0-based."""
+    idx = np.asarray(ids, dtype=np.int64).ravel()
+    bad = (idx < 1) | (idx > rows)
+    if bad.any():
+        raise IndexOutOfRangeError(f"{op}: id {int(idx[bad][0])} outside [1, {rows}]")
+    return idx - 1
+
+
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Stack rows of ``table`` selected by 1-based ids; backward scatter-adds."""
-    idx = np.asarray(ids, dtype=np.int64).ravel()
-    bad = (idx < 1) | (idx > table.rows)
-    if bad.any():
-        raise IndexOutOfRangeError(
-            f"gather_rows: id {int(idx[bad][0])} outside [1, {table.rows}]")
-    zero_based = idx - 1
+    zero_based = _zero_based(ids, table.rows, "gather_rows")
     out_data = table.data[zero_based]
 
     def backward(g, out):
         if table.requires_grad:
-            table.accumulate_grad(_sum_onto_rows(zero_based, table.rows, g))
+            table.accumulate_grad(_sum_onto_rows(zero_based, table.rows, g), own=True)
 
     return _node(out_data, "gather_rows", (table,), backward)
 
@@ -429,12 +440,12 @@ def _time_blocks(lengths, S):
     return order, list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
-def _table_ids(ids, rows):
+def _table_ids(ids, rows, op="scan"):
     """Each cell's 0-based row in an input table of ``rows`` rows."""
     ids = np.asarray(ids, dtype=np.int64).ravel()
     bad = (ids < 0) | (ids >= rows)
     if bad.any():
-        raise IndexOutOfRangeError(f"scan id {int(ids[bad][0])} outside [0, {rows})")
+        raise IndexOutOfRangeError(f"{op} id {int(ids[bad][0])} outside [0, {rows})")
     return ids
 
 
@@ -570,11 +581,12 @@ def memory_scan(mem0: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor,
                 # the gradient before the write: G * keep + w (x) g_read, in place
                 gm *= keep_rows(f, j, wb)
                 gm += np.einsum("bn,bd->bnd", wb, gr, out=f)
-        mem0.accumulate_grad(gmem.sum(axis=0))
+        mem0.accumulate_grad(gmem.sum(axis=0), own=True)
+        # disjoint column blocks of one fresh table
         g_tables = _sum_onto_rows(ids, P, g_in, order)
-        w.accumulate_grad(g_tables[:, :N])
-        erase.accumulate_grad(g_tables[:, N:N + d])
-        add_vec.accumulate_grad(g_tables[:, N + d:])
+        w.accumulate_grad(g_tables[:, :N], own=True)
+        erase.accumulate_grad(g_tables[:, N:N + d], own=True)
+        add_vec.accumulate_grad(g_tables[:, N + d:], own=True)
 
     return _node(reads, "memory_scan", (mem0, w, erase, add_vec), backward)
 
@@ -648,10 +660,92 @@ def lstm_scan(x: Tensor, ids, w_h: Tensor, lengths) -> Tensor:
             dzt[:, 3 * hs:] = dh * tc * o_g * (1.0 - o_g)
             np.matmul(dzt, w_h.data.T, out=dh_state[:hi - lo])
             dc *= f_g
-        x.accumulate_grad(_sum_onto_rows(ids, P, dz, order))
-        w_h.accumulate_grad(h_prev.T @ dz)
+        x.accumulate_grad(_sum_onto_rows(ids, P, dz, order), own=True)
+        w_h.accumulate_grad(h_prev.T @ dz, own=True)
 
     return _node(h_out, "lstm_scan", (x, w_h), backward)
+
+
+# ---------------------------------------------------------------------------
+# fused heads over the scored cells
+#
+# Each writes one S-row output and gathers its cells' table rows in chunks
+# of about GROUP_BYTES, so no S-sized gathered copy is ever held.
+
+
+def _chunks(S, cols):
+    """Slices of about GROUP_BYTES of ``cols``-wide float64 rows covering S."""
+    step = max(1, GROUP_BYTES // (8 * cols))
+    return [slice(lo, lo + step) for lo in range(0, S, step)]
+
+
+def summary_layer(r: Tensor, k: Tensor, w_f: Tensor, b_f: Tensor, ids) -> Tensor:
+    """DKVMN's summary layer; returns the S x f features
+        f[s] = tanh(r[s] @ w_f[:d] + (k @ w_f[d:] + b_f)[ids[s]])
+    of the read vectors r (S x d) and the key table k (P x d), which cell s
+    reads at its 0-based row ids[s].  The key half is computed once per row
+    of k.  The read half is one gemm over all cells, so each cell's bits do
+    not depend on how the cells are chunked.
+    """
+    P, d = k.shape
+    S = r.rows
+    if r.cols != d or w_f.rows != 2 * d or b_f.shape != (1, w_f.cols):
+        raise ShapeMismatchError(
+            f"summary_layer: r {r.shape}, k {k.shape}, w_f {w_f.shape}, b_f {b_f.shape}")
+    ids = _table_ids(ids, P, "summary_layer")
+    if len(ids) != S:
+        raise ShapeMismatchError(f"summary_layer: {len(ids)} ids for {S} reads")
+    w_read, w_key = w_f.data[:d], w_f.data[d:]
+    key = k.data @ w_key + b_f.data
+    f = r.data @ w_read
+    for c in _chunks(S, f.shape[1]):
+        fc = f[c]
+        fc += key[ids[c]]
+        np.tanh(fc, out=fc)
+
+    def backward(g, out):
+        gz = np.multiply(out.data, out.data)       # g * (1 - f^2)
+        np.subtract(1.0, gz, out=gz)
+        gz *= g
+        g_key = _sum_onto_rows(ids, P, gz)
+        r.accumulate_grad(gz @ w_read.T, own=True)
+        k.accumulate_grad(g_key @ w_key.T, own=True)
+        w_f.accumulate_grad(np.vstack([r.data.T @ gz, k.data.T @ g_key]), own=True)
+        b_f.accumulate_grad(g_key.sum(axis=0, keepdims=True), own=True)
+
+    return _node(f, "summary_layer", (r, k, w_f, b_f), backward)
+
+
+def column_readout(h: Tensor, w: Tensor, b: Tensor, q) -> Tensor:
+    """DKT's output for the question each cell asks; returns the S x 1 logits
+        z[s] = h[s] @ w[:, q[s]] + b[0, q[s]]
+    of the hidden states h (S x h) against the columns of w (h x Q) and b
+    (1 x Q) that the 1-based question ids q pick.
+    """
+    hs, Q = w.shape
+    if h.cols != hs or b.shape != (1, Q):
+        raise ShapeMismatchError(f"column_readout: h {h.shape}, w {w.shape}, b {b.shape}")
+    cols = _zero_based(q, Q, "column_readout")
+    S = h.rows
+    if len(cols) != S:
+        raise ShapeMismatchError(f"column_readout: {len(cols)} ids for {S} rows")
+    w_t = np.ascontiguousarray(w.data.T)     # question j's weights in row j
+    z = np.empty((S, 1))
+    for c in _chunks(S, hs):
+        np.einsum("sh,sh->s", h.data[c], w_t[cols[c]], out=z[c, 0])
+    z[:, 0] += b.data[0, cols]
+
+    def backward(g, out):
+        h.accumulate_grad(g * w_t[cols], own=True)
+        g_cells = np.empty((S, hs + 1))     # each cell's w and b gradients
+        np.multiply(g, h.data, out=g_cells[:, :hs])
+        g_cells[:, hs:] = g
+        # disjoint column blocks of one fresh table
+        g_tables = _sum_onto_rows(cols, Q, g_cells)
+        w.accumulate_grad(g_tables[:, :hs].T, own=True)
+        b.accumulate_grad(g_tables[:, hs:].T, own=True)
+
+    return _node(z, "column_readout", (h, w, b), backward)
 
 
 def binary_cross_entropy(p: Tensor, targets, mask, eps: float = 1e-7) -> Tensor:

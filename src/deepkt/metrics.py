@@ -34,9 +34,10 @@ class PredictionSet:
 
 
 def tied_ranks(values) -> np.ndarray:
-    """1-based ranks with ties receiving the average of their positions."""
+    """1-based ranks with ties receiving the average of their positions.
+    Every value of a tie gets the same rank, so the sort need not be stable."""
     v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="mergesort")
+    order = np.argsort(v)
     s = v[order]
     n = len(v)
     lo = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])   # start of each run

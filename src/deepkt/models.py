@@ -131,7 +131,10 @@ class StepOutputs:
     labels: np.ndarray             # S answer bits
     theta: np.ndarray | None = None      # S abilities (Deep-IRT)
     beta: np.ndarray | None = None       # S difficulties (Deep-IRT)
-    attention: np.ndarray | None = None  # S x N key attention (memory models)
+    # the memory models' key attention, one row per distinct interaction
+    # (P x N), and each cell's row of it
+    key_attention: np.ndarray | None = None
+    ids: np.ndarray | None = None
 
     @property
     def p(self) -> np.ndarray:
@@ -139,6 +142,11 @@ class StepOutputs:
         grid = np.full(self.pred_mask.shape, 0.5)
         grid[self.pred_mask == 1] = self.prob_tensor.data[:, 0]
         return grid
+
+    @property
+    def attention(self) -> np.ndarray | None:
+        """Each cell's key attention (S x N; None for DKT)."""
+        return None if self.key_attention is None else self.key_attention[self.ids]
 
 
 def difficulty(params: DkvmnParams, keys: Tensor) -> Tensor:
@@ -159,7 +167,6 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     before its own write, and unscored cells leave the memory alone.
     """
     arch = params.arch
-    d = arch.state_dim
     cells = np.nonzero(batch.mask)
     # the scored interactions q + a * Q, each cell's row among them (0-based),
     # and the question of each
@@ -171,10 +178,7 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     erase = ad.sigmoid(v @ params.W_e + params.b_e)
     add = ad.tanh(v @ params.W_a + params.b_a)
     r = ad.memory_scan(params.Mv0, w, erase, add, ids, batch.mask.sum(axis=1))
-    # the first d rows of W_f weigh the read, the last d the key
-    w_read = ad.gather_rows(params.W_f, np.arange(1, d + 1))
-    w_key = ad.gather_rows(params.W_f, np.arange(d + 1, 2 * d + 1))
-    f = ad.tanh(r @ w_read + ad.gather_rows(k @ w_key + params.b_f, ids + 1))
+    f = ad.summary_layer(r, k, params.W_f, params.b_f, ids)
     theta = beta = None
     if arch.deep_irt:
         th = ad.tanh(f @ params.W_theta + params.b_theta)
@@ -185,7 +189,7 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
         prob = ad.sigmoid(f @ params.W_p + params.b_p)
     return StepOutputs(prob_tensor=prob, pred_mask=batch.mask.copy(),
                        labels=batch.answers[cells], theta=theta, beta=beta,
-                       attention=w.data[ids])
+                       key_attention=w.data, ids=ids)
 
 
 def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
@@ -206,11 +210,7 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
                                              arch.num_kcs), return_inverse=True)
     x = ad.gather_rows(params.W_x, used) + params.b_g
     h = ad.lstm_scan(x, ids, params.W_h, pred_mask.sum(axis=1))
-    q = batch.q_ids[cells]
-    logit = ad.mul(h, ad.gather_rows(params.W_y.T, q)) \
-        @ ad.constant(np.ones((arch.hidden, 1))) \
-        + ad.gather_rows(params.b_y.T, q)
-    prob = ad.sigmoid(logit)
+    prob = ad.sigmoid(ad.column_readout(h, params.W_y, params.b_y, batch.q_ids[cells]))
     return StepOutputs(prob_tensor=prob, pred_mask=pred_mask,
                        labels=batch.answers[cells])
 

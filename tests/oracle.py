@@ -3,10 +3,12 @@
 The per-step forwards for DKVMN, Deep-IRT and DKT build one small graph node
 per operation and time step, exactly as the models were first written.  The
 fused forwards in ``deepkt.models`` must agree with them on every scored step,
-in values and in gradients.  The dense IRLS fit, the step-by-step counting
-loop, the per-sequence first-attempt loop, the three-sigmoid IRT loop, the
-per-step baseline scoring and the run-by-run rank loop are the references for
-``deepkt.baselines``, ``harness.evaluate_baseline`` and ``metrics.tied_ranks``.
+in values and in gradients.  The primitive-op chains are the references for
+the fused heads ``autodiff.summary_layer`` and ``autodiff.column_readout``.
+The dense IRLS fit, the step-by-step counting loop, the per-sequence
+first-attempt loop, the three-sigmoid IRT loop, the per-step baseline scoring
+and the run-by-run rank loop are the references for ``deepkt.baselines``,
+``harness.evaluate_baseline`` and ``metrics.tied_ranks``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,23 @@ def write(value_memory: Tensor, weights: Tensor, response_embed: Tensor,
     e = ad.sigmoid(response_embed @ params.W_e + params.b_e)
     a = ad.tanh(response_embed @ params.W_a + params.b_a)
     return ad.memory_write(value_memory, weights, e, a)
+
+
+def summary_layer_chain(r: Tensor, k: Tensor, w_f: Tensor, b_f: Tensor, ids) -> Tensor:
+    """``autodiff.summary_layer`` as primitive ops: the halves of w_f as
+    gathered rows, the key half built per row of k and gathered per cell."""
+    d = k.cols
+    w_read = ad.gather_rows(w_f, np.arange(1, d + 1))
+    w_key = ad.gather_rows(w_f, np.arange(d + 1, 2 * d + 1))
+    return ad.tanh(r @ w_read + ad.gather_rows(k @ w_key + b_f, np.asarray(ids) + 1))
+
+
+def column_readout_chain(h: Tensor, w: Tensor, b: Tensor, q) -> Tensor:
+    """``autodiff.column_readout`` as primitive ops: the picked columns of w
+    and b gathered as rows of their transposes, and each row's dot product
+    as a product with a ones column."""
+    picked = ad.mul(h, ad.gather_rows(w.T, q))
+    return picked @ ad.constant(np.ones((h.cols, 1))) + ad.gather_rows(b.T, q)
 
 
 def _clamp_pad(ids):

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import oracle
 from deepkt import autodiff as ad
 from deepkt import harness
 from deepkt.autodiff import (AdamState, ShapeMismatchError, Tensor, adam_step,
@@ -858,3 +862,190 @@ class TestAdam:
         p.grad = np.array([[1.0]])
         adam_step([p], AdamState(), lr=0.1)
         assert p.grad is None
+
+
+class TestFusedHeads:
+    """``summary_layer`` and ``column_readout`` against their primitive-op
+    chains in ``oracle``, against finite differences, across chunk sizes and
+    with table rows no cell reads."""
+
+    S, P, d, f, hs, Q = 23, 6, 4, 3, 5, 7
+
+    def summary(self, rng, S=None):
+        """(r, k, w_f, b_f) and each cell's key row; row P - 1 is unread."""
+        S = self.S if S is None else S
+        sizes = [(S, self.d), (self.P, self.d), (2 * self.d, self.f), (1, self.f)]
+        inputs = [Tensor(rng.normal(size=size), requires_grad=True) for size in sizes]
+        return ad.summary_layer, inputs, rng.integers(0, self.P - 1, size=S)
+
+    def readout(self, rng, S=None):
+        """(h, w, b) and each cell's 1-based question; question Q is unasked."""
+        S = self.S if S is None else S
+        sizes = [(S, self.hs), (self.hs, self.Q), (1, self.Q)]
+        inputs = [Tensor(rng.normal(size=size), requires_grad=True) for size in sizes]
+        return ad.column_readout, inputs, rng.integers(1, self.Q, size=S)
+
+    HEADS = {"summary_layer": summary, "column_readout": readout}
+
+    def run(self, op, inputs, ids):
+        """The op's output and its inputs' gradients under a fixed weighting."""
+        for t in inputs:
+            t.zero_grad()
+        out = op(*inputs, ids)
+        weights = np.cos(np.arange(out.data.size)).reshape(out.shape)
+        backward(scalar_loss(ad.mul(out, Tensor(weights))))
+        return out.data, [t.grad for t in inputs]
+
+    def test_summary_layer_equals_its_chain_exactly(self, rng, monkeypatch):
+        monkeypatch.setattr(ad, "GROUP_BYTES", 8 * self.f * 4)   # 4-row chunks
+        _, inputs, ids = self.summary(rng)
+        out, grads = self.run(ad.summary_layer, inputs, ids)
+        out_c, grads_c = self.run(oracle.summary_layer_chain, inputs, ids)
+        np.testing.assert_array_equal(out, out_c)
+        for name, g, g_c in zip(("r", "k", "w_f", "b_f"), grads, grads_c):
+            np.testing.assert_array_equal(g, g_c, err_msg=name)
+
+    def test_column_readout_matches_its_chain(self, rng, monkeypatch):
+        # the row dot products are summed in another order than the ones
+        # column's gemm, so the last bits may differ
+        monkeypatch.setattr(ad, "GROUP_BYTES", 8 * self.hs * 4)
+        _, inputs, q = self.readout(rng)
+        out, grads = self.run(ad.column_readout, inputs, q)
+        out_c, grads_c = self.run(oracle.column_readout_chain, inputs, q)
+        np.testing.assert_allclose(out, out_c, rtol=0, atol=1e-15)
+        for name, g, g_c in zip(("h", "w", "b"), grads, grads_c):
+            np.testing.assert_allclose(g, g_c, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_gradients_vs_finite_differences(self, rng, head):
+        op, inputs, ids = self.HEADS[head](self, rng)
+        weights = Tensor(rng.normal(size=op(*inputs, ids).shape))
+
+        def loss_fn(return_tensor=False):
+            t = scalar_loss(ad.mul(op(*inputs, ids), weights))
+            return t if return_tensor else t.item()
+
+        check_gradients(loss_fn, inputs, rng, n_samples=40, rtol=1e-6)
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_chunk_size_changes_no_bit(self, rng, monkeypatch, head):
+        op, inputs, ids = self.HEADS[head](self, rng)
+        whole = self.run(op, inputs, ids)
+        monkeypatch.setattr(ad, "GROUP_BYTES", 1)     # one row per chunk
+        out, grads = self.run(op, inputs, ids)
+        np.testing.assert_array_equal(out, whole[0])
+        for g, g_whole in zip(grads, whole[1]):
+            np.testing.assert_array_equal(g, g_whole)
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_unread_table_rows_change_nothing(self, rng, head):
+        # garbage in the key row or question column no cell reads leaves
+        # every output and gradient bit for bit, and that row's gradient 0
+        op, inputs, ids = self.HEADS[head](self, rng)
+        out, grads = self.run(op, inputs, ids)
+        if head == "summary_layer":
+            unread = [(1, (self.P - 1, slice(None)))]
+        else:
+            unread = [(1, (slice(None), self.Q - 1)), (2, (slice(None), self.Q - 1))]
+        for i, at in unread:
+            inputs[i].data[at] = 1e6
+        out2, grads2 = self.run(op, inputs, ids)
+        np.testing.assert_array_equal(out2, out)
+        for g, g2 in zip(grads, grads2):
+            np.testing.assert_array_equal(g2, g)
+        for i, at in unread:
+            np.testing.assert_array_equal(grads2[i][at], 0.0)
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_no_cells(self, rng, head):
+        op, inputs, ids = self.HEADS[head](self, rng, S=0)
+        out = op(*inputs, ids)
+        assert out.rows == 0
+        backward(sum_all(out))
+        for t in inputs:
+            np.testing.assert_array_equal(t.grad, np.zeros(t.shape))
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_constants_give_a_leaf_with_the_same_bits(self, rng, head):
+        op, inputs, ids = self.HEADS[head](self, rng)
+        with_grad = op(*inputs, ids)
+        without = op(*constants(inputs), ids)
+        assert with_grad._parents and without._parents == ()
+        assert without._backward is None and not without.requires_grad
+        np.testing.assert_array_equal(without.data, with_grad.data)
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_rejects_bad_shapes_and_ids(self, rng, head):
+        op, inputs, ids = self.HEADS[head](self, rng)
+        with pytest.raises(ShapeMismatchError):
+            op(*inputs, ids[1:])
+        with pytest.raises(ShapeMismatchError):
+            op(Tensor(inputs[0].data[:, 1:]), *inputs[1:], ids)
+        bad = ids.copy()
+        bad[3] = self.P if head == "summary_layer" else self.Q + 1
+        with pytest.raises(ad.IndexOutOfRangeError, match=f"id {bad[3]} outside"):
+            op(*inputs, bad)
+
+
+class TestGradientOwnership:
+    """An op hands a parent the fresh gradient array it made for that parent
+    alone; one array that reaches two parents is copied.  So no two
+    gradients share memory: changing one leaves every other as it was."""
+
+    def test_add_gives_each_parent_its_own_gradient(self, rng):
+        a, b = (Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2))
+        backward(sum_all(ad.add(a, b)))
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones((3, 2)))
+
+    def test_gather_rows_hands_over_its_table(self, rng, monkeypatch):
+        made = []
+        sum_onto_rows = ad._sum_onto_rows
+
+        def recording(*args, **kwargs):
+            made.append(sum_onto_rows(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_sum_onto_rows", recording)
+        table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        backward(sum_all(ad.gather_rows(table, [2, 2, 4])))
+        assert table.grad is made[0]
+
+    def test_table_blocks_are_separate_gradients(self, rng):
+        # memory_scan and column_readout sum their tables' gradients as
+        # column blocks of one array; each block goes to one parent
+        lengths = [3, 2]
+        mem0, w, e, a = TestMemoryScan().inputs(rng, lengths)
+        backward(sum_all(ad.memory_scan(mem0, w, e, a, np.arange(5), lengths)))
+        _, (h, w_y, b_y), q = TestFusedHeads().readout(rng)
+        backward(sum_all(ad.column_readout(h, w_y, b_y, q)))
+        for group in ((w, e, a), (w_y, b_y)):
+            before = [t.grad.copy() for t in group]
+            group[0].grad += 1.0
+            for t, g in zip(group[1:], before[1:]):
+                np.testing.assert_array_equal(t.grad, g)
+
+
+class TestCreationIds:
+    def test_threads_never_share_an_id(self):
+        # a switch interval of a microsecond makes the threads interleave
+        # inside Tensor construction as often as they can
+        uids = [[], []]
+
+        def build(out):
+            for _ in range(20000):
+                out.append(Tensor([[0.0]])._uid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(u,)) for u in uids]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        every = uids[0] + uids[1]
+        assert len(set(every)) == len(every)
+        assert Tensor._counter == max(every)

@@ -83,7 +83,9 @@ class TestAuc:
         np.full(37, 0.25),
         np.array([0.5]),
         np.array([]),
-    ], ids=["many-ties", "rounded", "all-tied", "single", "empty"])
+        # long runs of a few values, in which an unstable sort reorders ties
+        np.random.default_rng(2).integers(0, 3, 200_000) / 4.0,
+    ], ids=["many-ties", "rounded", "all-tied", "single", "empty", "heavy-ties"])
     def test_tied_ranks_match_run_loop(self, values):
         np.testing.assert_array_equal(tied_ranks(values),
                                       oracle.tied_ranks_loop(values))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import check_gradients
+from conftest import check_gradients, peak_bytes
 from deepkt import autodiff as ad
 from deepkt import harness, models
 from deepkt.autodiff import Tensor
@@ -496,6 +496,29 @@ class TestModelGradients:
             np.testing.assert_array_equal(grads[n], t.grad,
                                           err_msg=f"parameter {n}")
 
+    @pytest.mark.parametrize("model", ["dkvmn", "dkt"])
+    def test_pad_content_cannot_leak_into_the_other_heads(self, rng, model):
+        # the same for the DKVMN head and DKT's column readout
+        arch = SMALL if model == "dkvmn" else DktArch(num_kcs=4, hidden=3)
+        params = init_params(arch, std=0.3, seed=1)
+        batch = make_batch([random_steps(rng, 2, 4), random_steps(rng, 5, 4)], 6, 4)
+        runs = []
+        for scribble in (False, True):
+            if scribble:
+                pad = batch.mask == 0
+                batch.q_ids[pad] = 3
+                batch.answers[pad] = 1
+            for t in params.parameters():
+                t.zero_grad()
+            loss = sequence_loss(forward(params, batch))
+            ad.backward(loss)
+            runs.append((loss.item(), {n: t.grad.copy()
+                                       for n, t in params.named_parameters()}))
+        (loss, grads), (loss2, grads2) = runs
+        assert loss2 == loss
+        for name, g in grads.items():
+            np.testing.assert_array_equal(grads2[name], g, err_msg=f"parameter {name}")
+
 
 class TestFusedMatchesOracle:
     """The fused forwards against the per-step graphs of ``oracle`` on ragged
@@ -770,3 +793,25 @@ class TestFrozenParams:
         ad.backward(loss)
         for (name, p), q in zip(params.named_parameters(), expected.parameters()):
             np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
+
+
+class TestFrozenForwardPeak:
+    """One frozen forward at the evaluation shape (B = L = 200) holds few
+    S-row arrays: the memory read and the features for the memory models,
+    the hidden states for DKT.  The heads gather their cells' table rows in
+    chunks, so they add no S-sized copy."""
+
+    B, L, Q, WIDTH = 200, 200, 200, 50
+
+    @pytest.mark.parametrize("model, arrays", [("deep_irt", 2.5), ("dkt", 1.5)])
+    def test_peak_in_s_by_width_arrays(self, rng, model, arrays):
+        arch = make_arch(model, self.Q, {"mem_slots": 20, "state_dim": self.WIDTH,
+                                         "feature_dim": self.WIDTH,
+                                         "hidden": self.WIDTH})
+        frozen = init_params(arch, seed=0).frozen()
+        batch = make_batch([random_steps(rng, self.L, self.Q) for _ in range(self.B)],
+                           self.L, self.Q)
+        outputs = []
+        peak = peak_bytes(lambda: outputs.append(forward(frozen, batch)))
+        array_bytes = len(outputs[0].labels) * self.WIDTH * 8
+        assert peak <= arrays * array_bytes, peak / array_bytes
