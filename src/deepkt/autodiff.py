@@ -141,8 +141,8 @@ def gemm(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g, out):
-        a.accumulate_grad(g @ b.data.T)
-        b.accumulate_grad(a.data.T @ g)
+        a.accumulate_grad(g @ b.data.T, own=True)
+        b.accumulate_grad(a.data.T @ g, own=True)
 
     return _node(out_data, "gemm", (a, b), backward)
 
@@ -176,14 +176,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def backward(g, out):
-        a.accumulate_grad(-g)
+        a.accumulate_grad(-g, own=True)
 
     return _node(-a.data, "neg", (a,), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g, out):
-        a.accumulate_grad(c * g)
+        a.accumulate_grad(c * g, own=True)
 
     return _node(c * a.data, "scale", (a,), backward)
 
@@ -196,11 +196,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"mul: incompatible shapes {a.shape} * {b.shape}")
 
     def backward(g, out):
-        a.accumulate_grad(g * b.data)
+        a.accumulate_grad(g * b.data, own=True)
         if b.shape == a.shape:
-            b.accumulate_grad(g * a.data)
+            b.accumulate_grad(g * a.data, own=True)
         else:
-            b.accumulate_grad((g * a.data).sum(axis=1, keepdims=True))
+            b.accumulate_grad((g * a.data).sum(axis=1, keepdims=True), own=True)
 
     return _node(out_data, "mul", (a, b), backward)
 
@@ -217,13 +217,13 @@ def activation(x: Tensor, kind: str) -> Tensor:
         y = _sigmoid(x.data)
 
         def backward(g, out):
-            x.accumulate_grad(g * out.data * (1.0 - out.data))
+            x.accumulate_grad(g * out.data * (1.0 - out.data), own=True)
 
     elif kind == "tanh":
         y = np.tanh(x.data)
 
         def backward(g, out):
-            x.accumulate_grad(g * (1.0 - out.data * out.data))
+            x.accumulate_grad(g * (1.0 - out.data * out.data), own=True)
 
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
@@ -245,7 +245,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     def backward(g, out):
         dot = (g * out.data).sum(axis=1, keepdims=True)
-        x.accumulate_grad(out.data * (g - dot))
+        x.accumulate_grad(out.data * (g - dot), own=True)
 
     return _node(y, "softmax_rows", (x,), backward)
 
@@ -866,9 +866,22 @@ def adam_step(params, state: AdamState, lr: float) -> None:
         if i not in state.m:
             state.m[i] = np.zeros_like(p.data)
             state.v[i] = np.zeros_like(p.data)
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / bias1
-        v_hat = state.v[i] / bias2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        # in place, with the roundings of
+        #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        #   p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+        # taken in that order, so every bit matches that out-of-place form
+        m, v = state.m[i], state.v[i]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        gg = (1.0 - b2) * g
+        gg *= g
+        v += gg
+        step = m / bias1
+        step *= lr
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.data -= step
         p.grad = None

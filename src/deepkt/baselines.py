@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _sigmoid
-from .datasets import Dataset, ValidationError
+from .datasets import Dataset, ValidationError, rank_ids
 
 L2_PENALTY = 1e-4
 MAX_ITERS = 500
@@ -31,7 +31,7 @@ def irt_predict(theta_i, beta_j):
 
 def lookup(table: dict, keys, default: float = 0.0):
     """``table[k]`` for each k of the scalar or array ``keys``; absent: ``default``."""
-    unique, inverse = np.unique(keys, return_inverse=True)
+    unique, inverse = rank_ids(keys)
     return np.array([table.get(k, default) for k in unique.tolist()],
                     dtype=np.float64)[inverse].reshape(np.shape(keys))
 
@@ -62,7 +62,7 @@ def fit_irt(first_attempts: FirstAttempts, l2: float = L2_PENALTY,
     if not first_attempts:
         raise ValidationError("fit_irt needs at least one observation")
     students, si = first_attempts.students, first_attempts.student
-    questions, qi = np.unique(first_attempts.question, return_inverse=True)
+    questions, qi = rank_ids(first_attempts.question)
     y = first_attempts.answer.astype(np.float64)
 
     theta = np.zeros(len(students))
@@ -237,7 +237,7 @@ def fit_logistic(features: PfaFeatures, design: str = "PFA",
     (skill, S + F) cells for LFA, each with its size and number of successes."""
     design = design.upper()
     cols = _design_columns(features, design)
-    skills, skill = np.unique(features.skill, return_inverse=True)
+    skills, skill = rank_ids(features.skill)
     # one int64 key per cell, skill then counts in mixed radix
     key, size = skill, len(skills)
     for c in cols:
@@ -248,7 +248,8 @@ def fit_logistic(features: PfaFeatures, design: str = "PFA",
         key, size = key * radix + whole, size * radix
     if size > np.iinfo(np.int64).max:
         raise ValidationError(f"{size} possible {design} cells overflow an int64 key")
-    _, cell, n = np.unique(key, return_inverse=True, return_counts=True)
+    _, cell = rank_ids(key)
+    n = np.bincount(cell)
     member = np.empty(len(n), dtype=np.int64)
     member[cell] = np.arange(len(cell))          # any observation of each cell
     y = np.bincount(cell, features.label, len(n))
@@ -263,11 +264,17 @@ def predict_logistic(fit: LogisticFit, features: PfaFeatures) -> np.ndarray:
     """P(correct) of each observation of ``features`` under ``fit``; a skill
     the fit never saw scores 0.5, and one warning names all such skills."""
     skill = features.skill
-    seen = np.isin(skill, fit.skills)
-    if not seen.all():
-        unseen = ", ".join(map(str, np.unique(skill[~seen]).tolist()))
+    # rank the fit's skills with the observed ones: each rank's coefficient
+    # row, or -1 for a skill only observed
+    distinct, rank = rank_ids(np.concatenate([fit.skills, skill]))
+    row_of = np.full(len(distinct), -1)
+    row_of[rank[:len(fit.skills)]] = np.arange(len(fit.skills))
+    if (row_of < 0).any():
+        unseen = ", ".join(map(str, distinct[row_of < 0].tolist()))
         warnings.warn(f"skill {unseen} unseen during {fit.design} fit; predicting 0.5")
-    coef = fit.coef[np.searchsorted(fit.skills, skill[seen])]
+    row = row_of[rank[len(fit.skills):]]
+    seen = row >= 0
+    coef = fit.coef[row[seen]]
     z = fit.theta
     for x, c in zip(_design_columns(features, fit.design), coef.T):
         z = z + x[seen] * c
@@ -296,7 +303,9 @@ def first_attempts(data: Dataset) -> FirstAttempts:
     shift = (np.cumsum(lengths) - lengths)[by_student] - (np.cumsum(moved) - moved)
     perm = np.arange(len(q)) + np.repeat(shift, moved)
     order, starts = _group_steps(np.repeat(student[by_student], moved), q[perm])
-    first = np.sort(perm[order[starts]])
+    is_first = np.zeros(len(q), dtype=bool)
+    is_first[perm[order[starts]]] = True
+    first = np.flatnonzero(is_first)
     return FirstAttempts(students, np.repeat(student, lengths)[first], q[first], a[first])
 
 
@@ -306,8 +315,8 @@ def item_analysis(data: Dataset, min_students: int = 10) -> dict:
     if min_students < 1:
         raise ValidationError(f"min_students must be >= 1, got {min_students}")
     tries = first_attempts(data)
-    questions, index, counts = np.unique(tries.question, return_inverse=True,
-                                         return_counts=True)
+    questions, index = rank_ids(tries.question)
+    counts = np.bincount(index)
     wrong = np.bincount(index, 1 - tries.answer, len(questions))
     keep = counts >= min_students
     return dict(zip(questions[keep].tolist(), (wrong[keep] / counts[keep]).tolist()))

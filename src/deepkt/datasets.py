@@ -115,6 +115,37 @@ def encode_interaction(q, a, num_kcs: int):
     return q + a * num_kcs
 
 
+# rank_ids counts when the ids span at most this many values per id: on a
+# 2-core x86 VM (numpy 2.4, n = 2,000 to 700,000 ids) counting beat sorting
+# 1.5-1.9x at a span of 2n and broke even between 3n and 4.5n
+COUNT_SPAN = 2
+
+
+def rank_ids(values):
+    """``np.unique(values, return_inverse=True)``: the sorted distinct values
+    and each value's index among them, in ``values``' shape.  Integer ids
+    that span at most ``COUNT_SPAN`` values per id are ranked by counting, in
+    O(n + span): mark the ids present, and the running count of marks is each
+    id's rank.  Wider ids, and any other dtype, are sorted."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" or values.size == 0:
+        return np.unique(values, return_inverse=True)
+    # ids and their offsets from the lowest, in a type that holds both
+    flat = values.ravel().astype(np.int64 if values.dtype.kind == "i" else np.uint64,
+                                 copy=False)
+    low = flat.min()
+    span = int(flat.max()) - int(low) + 1
+    if span > COUNT_SPAN * flat.size:
+        return np.unique(values, return_inverse=True)
+    offset = flat - low
+    present = np.zeros(span, dtype=bool)
+    present[offset] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    distinct = (np.flatnonzero(present).astype(flat.dtype) + low).astype(values.dtype)
+    return distinct, rank[offset].reshape(values.shape)
+
+
 def read_utf8(path, what: str) -> str:
     """The text of the ``what`` file at ``path``; bytes that are not UTF-8
     raise ValidationError naming the file."""

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datasets import PaddedBatch, ValidationError, encode_interaction, read_json
+from .datasets import PaddedBatch, ValidationError, encode_interaction, rank_ids, read_json
 
 ABILITY_SCALE = 3.0  # ability head output is stretched before the IRT link
 PROB_EPS = 1e-7      # clamp for log-loss
@@ -170,8 +170,8 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     cells = np.nonzero(batch.mask)
     # the scored interactions q + a * Q, each cell's row among them (0-based),
     # and the question of each
-    used, ids = np.unique(encode_interaction(batch.q_ids[cells], batch.answers[cells],
-                                             arch.num_kcs), return_inverse=True)
+    used, ids = rank_ids(encode_interaction(batch.q_ids[cells], batch.answers[cells],
+                                            arch.num_kcs))
     k = ad.gather_rows(params.A, (used - 1) % arch.num_kcs + 1)
     w = ad.softmax_rows(k @ params.Mk.T)
     v = ad.gather_rows(params.B, used)
@@ -206,8 +206,8 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
     fed = rows, steps - 1
     # one-hot(qa) @ W_x + b_g is a row of W_x + b_g: build the rows of the
     # interactions the cells feed, and each cell reads its row
-    used, ids = np.unique(encode_interaction(batch.q_ids[fed], batch.answers[fed],
-                                             arch.num_kcs), return_inverse=True)
+    used, ids = rank_ids(encode_interaction(batch.q_ids[fed], batch.answers[fed],
+                                            arch.num_kcs))
     x = ad.gather_rows(params.W_x, used) + params.b_g
     h = ad.lstm_scan(x, ids, params.W_h, pred_mask.sum(axis=1))
     prob = ad.sigmoid(ad.column_readout(h, params.W_y, params.b_y, batch.q_ids[cells]))

@@ -857,6 +857,37 @@ class TestAdam:
             assert p.data[0, 0] == pytest.approx(expected, rel=1e-12)
             assert state.step_count == t + 1
 
+    def test_in_place_matches_the_array_formula(self, rng):
+        # the update runs in place, in the order of the out-of-place formula
+        # below, so every bit of the parameters and moments agrees with it
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        # parameters start at 0, so a step's last bit still shows in them
+        params = [Tensor(np.zeros((40, 30)), requires_grad=True),
+                  Tensor(np.zeros((1, 30)), requires_grad=True)]
+        want = [p.data.copy() for p in params]
+        m = [np.zeros_like(x) for x in want]
+        v = [np.zeros_like(x) for x in want]
+        state = AdamState(b1, b2, eps)
+        for t in range(1, 6):
+            grads = [rng.normal(size=x.shape) for x in want]
+            grads[1] = None if t == 3 else grads[1]   # a step with no gradient
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            adam_step(params, state, lr)
+            for i, g in enumerate(grads):
+                g = np.zeros_like(want[i]) if g is None else g
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                want[i] -= lr * (m[i] / (1.0 - b1 ** t)) / (
+                    np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+            moments = [(state.m[i], state.v[i]) for i in range(2)]
+            for i, p in enumerate(params):
+                np.testing.assert_array_equal(p.data, want[i])
+                np.testing.assert_array_equal(state.m[i], m[i])
+                np.testing.assert_array_equal(state.v[i], v[i])
+        # the moments are updated in place, not replaced
+        assert all(state.m[i] is moments[i][0] for i in range(2))
+
     def test_grads_zeroed_after_step(self):
         p = Tensor([[0.0]], requires_grad=True)
         p.grad = np.array([[1.0]])
@@ -1010,6 +1041,56 @@ class TestGradientOwnership:
         table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         backward(sum_all(ad.gather_rows(table, [2, 2, 4])))
         assert table.grad is made[0]
+
+    # op, then the shapes of its inputs
+    PRIMITIVES = {
+        "gemm": (ad.gemm, (3, 4), (4, 2)),
+        "neg": (ad.neg, (3, 4)),
+        "scale": (lambda a: ad.scale(a, 0.5), (3, 4)),
+        "mul": (ad.mul, (3, 4), (3, 4)),
+        "mul_column": (ad.mul, (3, 4), (3, 1)),
+        "sigmoid": (ad.sigmoid, (3, 4)),
+        "tanh": (ad.tanh, (3, 4)),
+        "softmax_rows": (ad.softmax_rows, (3, 4)),
+        "add": (ad.add, (3, 4), (3, 4)),
+        "add_bias": (ad.add, (3, 4), (1, 4)),
+        "transpose": (ad.transpose, (3, 4)),
+    }
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_primitive_ops(self, rng, monkeypatch, name):
+        # add, which gives one array to two parents, and transpose, which
+        # gives a view, copy; every other op hands over what it made
+        op, *shapes = self.PRIMITIVES[name]
+        inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        handed = {}
+        accumulate = Tensor.accumulate_grad
+
+        def recording(t, g, own=False):
+            handed[id(t)] = g, own
+            accumulate(t, g, own)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+        out = op(*inputs)
+        backward(sum_all(out))
+        owns = name not in ("add", "add_bias", "transpose")
+        arrays = [out.data] + [t.data for t in inputs]
+        for t in inputs:
+            g, own = handed[id(t)]
+            assert own == owns and (t.grad is g) == owns
+            # a gradient shares memory with no other gradient and no data
+            assert not any(np.shares_memory(t.grad, x) for x in arrays)
+            arrays.append(t.grad)
+
+    def test_op_on_one_tensor_twice_sums_both_gradients(self, rng):
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        backward(sum_all(ad.mul(a, a)))
+        np.testing.assert_array_equal(a.grad, 2 * a.data)
+        b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        backward(sum_all(ad.gemm(b, b)))
+        ones = np.ones((3, 3))
+        np.testing.assert_allclose(b.grad, ones @ b.data.T + b.data.T @ ones,
+                                   rtol=1e-15, atol=0)
 
     def test_table_blocks_are_separate_gradients(self, rng):
         # memory_scan and column_readout sum their tables' gradients as

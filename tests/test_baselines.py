@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from deepkt import baselines
+from deepkt import baselines, datasets, harness
 from deepkt.baselines import (FirstAttempts, IrtParams, LogisticFit, PfaFeatures,
                               build_pfa_features, first_attempts, fit_irt,
                               fit_logistic, irt_predict, item_analysis,
@@ -310,6 +310,11 @@ def _logistic_cases():
     cases.append(("separable", random_seqs(rng, 40, 3, 15) + always, 500))
     rng = np.random.default_rng(5)
     cases.append(("max-iters-2", random_seqs(rng, 50, 4, 20), 2))
+    rng = np.random.default_rng(6)
+    # one student on one skill 200 times: (S, F) cells span ~100 x 100 keys,
+    # past the range that rank_ids counts, so the cells are sorted
+    cases.append(("long-practice",
+                  [seq(0, [(3, int(b)) for b in rng.random(200) < 0.6])], 500))
     return cases
 
 
@@ -356,6 +361,51 @@ class TestBlockNewtonMatchesDense:
             with pytest.warns(UserWarning, match=want):
                 fit_logistic(build_pfa_features(data(seqs)), design="PFA",
                              max_iters=max_iters)
+        # and a PFA fit whose cell keys rank_ids sorts
+        feats = build_pfa_features(data(by_name["long-practice"][0]))
+        span = (feats.successes.max() + 1) * (feats.failures.max() + 1)
+        assert span > datasets.COUNT_SPAN * len(feats)
+
+
+class TestWideIds:
+    """A question id of 10**15 is ranked by sorting, not counting: every
+    baseline gives the same fit and scores as on the data relabelled small."""
+
+    WIDE = 10 ** 15
+
+    def relabel(self, seqs, old, new):
+        return [seq(s.student_id, [(new if q == old else q, a) for q, a in s.steps])
+                for s in seqs]
+
+    def splits(self):
+        rng = np.random.default_rng(7)
+        small = random_seqs(rng, 80, 6, 30)
+        wide = self.relabel(small, 6, self.WIDE)
+        return [(Dataset(6, small[:60]), Dataset(6, small[60:])),
+                (Dataset(self.WIDE, wide[:60]), Dataset(self.WIDE, wide[60:]))]
+
+    @pytest.mark.parametrize("design", ["PFA", "LFA"])
+    def test_fit_logistic_same_coefficients(self, design):
+        (small, small_test), (wide, wide_test) = self.splits()
+        fits = [fit_logistic(build_pfa_features(d), design=design) for d in (small, wide)]
+        assert fits[0].skills.tolist() == [1, 2, 3, 4, 5, 6]
+        assert fits[1].skills.tolist() == [1, 2, 3, 4, 5, self.WIDE]
+        np.testing.assert_array_equal(fits[1].coef, fits[0].coef)
+        assert (fits[1].theta, fits[1].grad_norm) == (fits[0].theta, fits[0].grad_norm)
+        np.testing.assert_array_equal(
+            predict_logistic(fits[1], build_pfa_features(wide_test)),
+            predict_logistic(fits[0], build_pfa_features(small_test)))
+
+    def test_every_baseline_same_scores(self):
+        (small, small_test), (wide, wide_test) = self.splits()
+        for model in harness.BASELINE_MODELS:
+            got = harness.evaluate_baseline(model, wide, wide_test, min_students=2)
+            want = harness.evaluate_baseline(model, small, small_test, min_students=2)
+            np.testing.assert_array_equal(got.scores, want.scores, err_msg=model)
+        irt = [fit_irt(first_attempts(d)).beta for d in (small, wide)]
+        assert irt[1] == {(self.WIDE if q == 6 else q): b for q, b in irt[0].items()}
+        items = [item_analysis(d, min_students=2) for d in (small, wide)]
+        assert items[1] == {(self.WIDE if q == 6 else q): v for q, v in items[0].items()}
 
 
 class TestGroupedFit:

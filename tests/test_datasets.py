@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import peak_bytes
 from deepkt import datasets
 from deepkt.autodiff import IndexOutOfRangeError
 from deepkt.datasets import (Dataset, InteractionSequence, SequenceParseError,
                              SyntheticConfig, ValidationError, encode_interaction,
                              generate_synthetic, kfold, load_sequences,
-                             pad_and_mask, save_sequences, split_train_test)
+                             pad_and_mask, rank_ids, save_sequences,
+                             split_train_test)
 
 
 def make_seq(student, pairs):
@@ -38,6 +40,74 @@ class TestEncodeInteraction:
         Q = 23
         image = {encode_interaction(q, a, Q) for q in range(1, Q + 1) for a in (0, 1)}
         assert image == set(range(1, 2 * Q + 1))
+
+
+def spanning(n, span, dtype=np.int64, low=0, seed=0):
+    """``n`` random ids in [low, low + span), both ends included."""
+    ids = np.random.default_rng(seed).integers(0, span, size=n)
+    ids[:2] = 0, span - 1
+    return (ids + low).astype(dtype)
+
+
+class TestRankIds:
+    """``rank_ids`` against ``np.unique(values, return_inverse=True)``: the
+    same values, dtypes and shapes, on both sides of the counting rule."""
+
+    def assert_unique(self, values):
+        want = np.unique(values, return_inverse=True)
+        got = rank_ids(values)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("values", [
+        np.array([], dtype=np.int64), np.array([], dtype=np.uint8),
+        np.empty((0, 3), dtype=np.int32), np.int64(7), np.array(-3),
+        [5, 5, 5], np.array([[3, 1], [2, 3]]), [-4, 2, -4, -1, 0],
+        np.array([-128, 127, 0, -128], dtype=np.int8),
+        spanning(120, 201, np.int8, low=-100),   # offsets past int8, counted
+        np.array([0, 255, 7, 255], dtype=np.uint8),
+        np.array([2 ** 64 - 1, 2 ** 64 - 3, 2 ** 64 - 1], dtype=np.uint64),
+        [10 ** 15, 3, 10 ** 15], [-(2 ** 63), 2 ** 63 - 1],
+        np.array([1.5, -2.0, 1.5]), np.array(["b", "a", "b"]), [True, False, True],
+    ], ids=lambda v: repr(v)[:40])
+    def test_equals_unique(self, values):
+        self.assert_unique(values)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    @pytest.mark.parametrize("low", [0, 100])
+    def test_equals_unique_by_dtype(self, dtype, low):
+        for n in (2, 3, 50):
+            for span in (1, n, datasets.COUNT_SPAN * n, datasets.COUNT_SPAN * n + 1):
+                self.assert_unique(spanning(n, span, dtype, low, seed=span))
+        self.assert_unique(spanning(60, 60, dtype, low).reshape(3, 4, 5))
+
+    def test_counts_up_to_the_rule_and_sorts_past_it(self, monkeypatch):
+        sorted_ = []
+        unique = np.unique
+
+        def spy(values, **kwargs):
+            sorted_.append(len(values))
+            return unique(values, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        n = 1000
+        for span, sorts in ((datasets.COUNT_SPAN * n, False),
+                            (datasets.COUNT_SPAN * n + 1, True), (10 ** 15, True)):
+            sorted_.clear()
+            values = spanning(n, span, low=-7)
+            got = rank_ids(values)
+            assert bool(sorted_) == sorts, span
+            want = unique(values, return_inverse=True)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_wide_ids_allocate_nothing_span_sized(self):
+        # 1,000 ids over 10**7 values: a mark per value would be 10 MB
+        values = spanning(1000, 10 ** 7)
+        assert peak_bytes(lambda: rank_ids(values)) < 200_000
+        values = spanning(1000, 10 ** 15)
+        assert peak_bytes(lambda: rank_ids(values)) < 200_000
 
 
 class TestLoadSequences:
