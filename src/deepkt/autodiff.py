@@ -111,10 +111,6 @@ class Tensor:
         return transpose(self)
 
 
-def tensor(values, requires_grad=False):
-    return Tensor(values, requires_grad=requires_grad)
-
-
 def constant(values):
     return Tensor(values, requires_grad=False)
 
@@ -250,23 +246,24 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(y, "softmax_rows", (x,), backward)
 
 
-def _zero_based(ids, rows, op):
-    """1-based ids into ``rows`` rows (or columns), checked, as 0-based."""
-    idx = np.asarray(ids, dtype=np.int64).ravel()
-    bad = (idx < 1) | (idx > rows)
+def _table_ids(ids, rows, op="scan"):
+    """``ids`` as 0-based rows of a ``rows``-row table, checked: every op that
+    reads table rows takes 0-based rows, and 1-based ids stay in the data."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    bad = (ids < 0) | (ids >= rows)
     if bad.any():
-        raise IndexOutOfRangeError(f"{op}: id {int(idx[bad][0])} outside [1, {rows}]")
-    return idx - 1
+        raise IndexOutOfRangeError(f"{op} id {int(ids[bad][0])} outside [0, {rows})")
+    return ids
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Stack rows of ``table`` selected by 1-based ids; backward scatter-adds."""
-    zero_based = _zero_based(ids, table.rows, "gather_rows")
-    out_data = table.data[zero_based]
+    """Stack the rows ``ids`` (0-based) of ``table``; backward scatter-adds."""
+    ids = _table_ids(ids, table.rows, "gather_rows")
+    out_data = table.data[ids]
 
     def backward(g, out):
         if table.requires_grad:
-            table.accumulate_grad(_sum_onto_rows(zero_based, table.rows, g), own=True)
+            table.accumulate_grad(_sum_onto_rows(ids, table.rows, g), own=True)
 
     return _node(out_data, "gather_rows", (table,), backward)
 
@@ -326,13 +323,9 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 def take_per_row(x: Tensor, col_ids) -> Tensor:
     """Pick one entry per row (0-based column index); returns an m x 1 tensor."""
-    idx = np.asarray(col_ids, dtype=np.int64).ravel()
+    idx = _table_ids(col_ids, x.cols, "take_per_row")
     if idx.shape[0] != x.rows:
         raise ShapeMismatchError(f"take_per_row: {idx.shape[0]} indices for {x.rows} rows")
-    bad = (idx < 0) | (idx >= x.cols)
-    if bad.any():
-        raise IndexOutOfRangeError(
-            f"take_per_row: column {int(idx[bad][0])} outside [0, {x.cols})")
     r = np.arange(x.rows)
     out_data = x.data[r, idx].reshape(-1, 1)
 
@@ -438,15 +431,6 @@ def _time_blocks(lengths, S):
     step = np.repeat(np.arange(longest), counts)
     order = starts[np.arange(S) - bounds[step]] + step
     return order, list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-
-
-def _table_ids(ids, rows, op="scan"):
-    """Each cell's 0-based row in an input table of ``rows`` rows."""
-    ids = np.asarray(ids, dtype=np.int64).ravel()
-    bad = (ids < 0) | (ids >= rows)
-    if bad.any():
-        raise IndexOutOfRangeError(f"{op} id {int(ids[bad][0])} outside [0, {rows})")
-    return ids
 
 
 # no-grad memory scans run their rows in groups of about this many bytes of
@@ -720,12 +704,12 @@ def column_readout(h: Tensor, w: Tensor, b: Tensor, q) -> Tensor:
     """DKT's output for the question each cell asks; returns the S x 1 logits
         z[s] = h[s] @ w[:, q[s]] + b[0, q[s]]
     of the hidden states h (S x h) against the columns of w (h x Q) and b
-    (1 x Q) that the 1-based question ids q pick.
+    (1 x Q) at the 0-based columns q.
     """
     hs, Q = w.shape
     if h.cols != hs or b.shape != (1, Q):
         raise ShapeMismatchError(f"column_readout: h {h.shape}, w {w.shape}, b {b.shape}")
-    cols = _zero_based(q, Q, "column_readout")
+    cols = _table_ids(q, Q, "column_readout")
     S = h.rows
     if len(cols) != S:
         raise ShapeMismatchError(f"column_readout: {len(cols)} ids for {S} rows")
@@ -748,16 +732,22 @@ def column_readout(h: Tensor, w: Tensor, b: Tensor, q) -> Tensor:
     return _node(z, "column_readout", (h, w, b), backward)
 
 
-def binary_cross_entropy(p: Tensor, targets, mask, eps: float = 1e-7) -> Tensor:
-    """Masked summed cross-entropy; probabilities are clamped to [eps, 1-eps]."""
+# the log-loss clamp of both the training loss and the reported loss
+# (``metrics.mean_xent``), so the two cannot drift apart
+PROB_EPS = 1e-7
+
+
+def binary_cross_entropy(p: Tensor, targets, mask) -> Tensor:
+    """Masked summed cross-entropy; probabilities are clamped to
+    [PROB_EPS, 1 - PROB_EPS]."""
     y = np.asarray(targets, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)
     if y.shape != p.shape or m.shape != p.shape:
         raise ShapeMismatchError(
             f"binary_cross_entropy: p {p.shape}, targets {y.shape}, mask {m.shape}")
-    pc = np.clip(p.data, eps, 1.0 - eps)
+    pc = np.clip(p.data, PROB_EPS, 1.0 - PROB_EPS)
     loss = -(m * (y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))).sum()
-    inside = (p.data > eps) & (p.data < 1.0 - eps)
+    inside = (p.data > PROB_EPS) & (p.data < 1.0 - PROB_EPS)
 
     def backward(g, out):
         d = np.where(inside, m * (pc - y) / (pc * (1.0 - pc)), 0.0)

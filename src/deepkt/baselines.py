@@ -140,7 +140,9 @@ def _group_steps(group, skill):
 
 def build_pfa_features(data: Dataset) -> PfaFeatures:
     """Each step's skill, answer and prior successes and failures on that skill
-    by the same student, in step order, read from ``data.columns``."""
+    in the same sequence, in step order, read from ``data.columns``.  The
+    counts restart with each sequence, also for two sequences of one student
+    (``first_attempts`` groups by student)."""
     lengths, skill, a = data.columns
     n = len(skill)
     order, starts = _group_steps(np.repeat(np.arange(len(lengths)), lengths), skill)

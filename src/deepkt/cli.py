@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -111,8 +112,8 @@ def cmd_baseline(args):
 
 def _read_difficulty_csv(path):
     """{source: {question_id: difficulty}} from a CSV that export-difficulty
-    wrote; a missing column, a bad number or bytes that are not UTF-8 raise
-    ValidationError naming the file (and the line)."""
+    wrote; a missing column, a bad or non-finite number or bytes that are not
+    UTF-8 raise ValidationError naming the file (and the line)."""
     out = {}
     text = datasets.read_utf8(path, "difficulty CSV")
     reader = csv.DictReader(io.StringIO(text, newline=""))
@@ -126,6 +127,9 @@ def _read_difficulty_csv(path):
         except (TypeError, ValueError) as exc:   # a short row gives None
             raise ValidationError(f"difficulty CSV {path}, line "
                                   f"{reader.line_num}: {exc}") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"difficulty CSV {path}, line {reader.line_num}: "
+                                  f"difficulty {value} is not finite")
         out.setdefault(row["source"], {})[q] = value
     return out
 

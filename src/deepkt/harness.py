@@ -4,6 +4,7 @@ difficulty/trajectory exports."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace, asdict
 from itertools import combinations
 
@@ -44,7 +45,10 @@ class TrainConfig:
             raise ValidationError(f"unknown model {self.model!r}")
         for name in ("lr", "batch_size", "clip_norm", "seq_len", "init_std",
                      "hidden", "mem_slots", "state_dim", "feature_dim"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise ValidationError(f"{name} must be positive")
         if self.epochs < 0 or self.trials < 1 or self.cv_folds < 2:
             raise ValidationError("epochs >= 0, trials >= 1, cv_folds >= 2 required")

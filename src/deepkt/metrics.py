@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-XENT_EPS = 1e-7
+from .autodiff import PROB_EPS
 
 
 class MetricUndefinedError(ValueError):
@@ -74,11 +74,11 @@ def accuracy(pred: PredictionSet, threshold: float = 0.5) -> float:
     return float(hits.mean())
 
 
-def mean_xent(pred: PredictionSet, eps: float = XENT_EPS) -> float:
+def mean_xent(pred: PredictionSet) -> float:
     if len(pred.labels) == 0:
         raise MetricUndefinedError("cross-entropy of an empty prediction set")
     _check_finite(pred)
-    p = np.clip(pred.scores, eps, 1.0 - eps)
+    p = np.clip(pred.scores, PROB_EPS, 1.0 - PROB_EPS)
     y = pred.labels
     return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)).mean())
 

@@ -14,7 +14,6 @@ from .autodiff import Tensor
 from .datasets import PaddedBatch, ValidationError, encode_interaction, rank_ids, read_json
 
 ABILITY_SCALE = 3.0  # ability head output is stretched before the IRT link
-PROB_EPS = 1e-7      # clamp for log-loss
 
 
 @dataclass
@@ -168,13 +167,13 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     """
     arch = params.arch
     cells = np.nonzero(batch.mask)
-    # the scored interactions q + a * Q, each cell's row among them (0-based),
-    # and the question of each
-    used, ids = rank_ids(encode_interaction(batch.q_ids[cells], batch.answers[cells],
-                                            arch.num_kcs))
-    k = ad.gather_rows(params.A, (used - 1) % arch.num_kcs + 1)
+    # the rows of B of the scored interactions q + a * Q (q - 1 + a * Q), each
+    # cell's index among them, and the rows of A of their questions
+    rows, ids = rank_ids(encode_interaction(batch.q_ids[cells], batch.answers[cells],
+                                            arch.num_kcs) - 1)
+    k = ad.gather_rows(params.A, rows % arch.num_kcs)
     w = ad.softmax_rows(k @ params.Mk.T)
-    v = ad.gather_rows(params.B, used)
+    v = ad.gather_rows(params.B, rows)
     erase = ad.sigmoid(v @ params.W_e + params.b_e)
     add = ad.tanh(v @ params.W_a + params.b_a)
     r = ad.memory_scan(params.Mv0, w, erase, add, ids, batch.mask.sum(axis=1))
@@ -182,7 +181,7 @@ def forward_sequence(params: DkvmnParams, batch: PaddedBatch) -> StepOutputs:
     theta = beta = None
     if arch.deep_irt:
         th = ad.tanh(f @ params.W_theta + params.b_theta)
-        be = ad.gather_rows(difficulty(params, k), ids + 1)
+        be = ad.gather_rows(difficulty(params, k), ids)
         prob = ad.sigmoid(ad.scale(th, ABILITY_SCALE) - be)
         theta, beta = th.data[:, 0], be.data[:, 0]
     else:
@@ -206,11 +205,13 @@ def forward_dkt(params: DktParams, batch: PaddedBatch) -> StepOutputs:
     fed = rows, steps - 1
     # one-hot(qa) @ W_x + b_g is a row of W_x + b_g: build the rows of the
     # interactions the cells feed, and each cell reads its row
-    used, ids = rank_ids(encode_interaction(batch.q_ids[fed], batch.answers[fed],
-                                            arch.num_kcs))
-    x = ad.gather_rows(params.W_x, used) + params.b_g
+    fed_rows, ids = rank_ids(encode_interaction(batch.q_ids[fed], batch.answers[fed],
+                                                arch.num_kcs) - 1)
+    x = ad.gather_rows(params.W_x, fed_rows) + params.b_g
     h = ad.lstm_scan(x, ids, params.W_h, pred_mask.sum(axis=1))
-    prob = ad.sigmoid(ad.column_readout(h, params.W_y, params.b_y, batch.q_ids[cells]))
+    # the scored questions, checked as the fed ones are, and their columns of W_y
+    cols = encode_interaction(batch.q_ids[cells], 0, arch.num_kcs) - 1
+    prob = ad.sigmoid(ad.column_readout(h, params.W_y, params.b_y, cols))
     return StepOutputs(prob_tensor=prob, pred_mask=pred_mask,
                        labels=batch.answers[cells])
 
@@ -226,8 +227,7 @@ def forward(params, batch: PaddedBatch) -> StepOutputs:
 def sequence_loss(outputs: StepOutputs) -> Tensor:
     """Summed cross-entropy over the scored cells (1 x 1 tensor)."""
     labels = outputs.labels.reshape(-1, 1)
-    return ad.binary_cross_entropy(outputs.prob_tensor, labels,
-                                   np.ones_like(labels), eps=PROB_EPS)
+    return ad.binary_cross_entropy(outputs.prob_tensor, labels, np.ones_like(labels))
 
 
 def prediction_set(outputs: StepOutputs):
@@ -278,4 +278,7 @@ def load_checkpoint(path):
         if arrays[name].shape != shape:
             raise ValidationError(f"checkpoint {path}: array {name} has shape "
                                   f"{arrays[name].shape}, expected {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValidationError(f"checkpoint {path}: array {name} holds a "
+                                  "value that is not finite")
     return _make_params(arch, arrays)

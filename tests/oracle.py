@@ -23,7 +23,7 @@ from deepkt import autodiff as ad
 from deepkt import baselines
 from deepkt.autodiff import Tensor
 from deepkt.datasets import NOT_A_BIT, ValidationError, _question_ids
-from deepkt.models import ABILITY_SCALE, PROB_EPS, DkvmnParams, DktParams
+from deepkt.models import ABILITY_SCALE, DkvmnParams, DktParams
 
 
 @dataclass
@@ -79,9 +79,9 @@ def summary_layer_chain(r: Tensor, k: Tensor, w_f: Tensor, b_f: Tensor, ids) -> 
     """``autodiff.summary_layer`` as primitive ops: the halves of w_f as
     gathered rows, the key half built per row of k and gathered per cell."""
     d = k.cols
-    w_read = ad.gather_rows(w_f, np.arange(1, d + 1))
-    w_key = ad.gather_rows(w_f, np.arange(d + 1, 2 * d + 1))
-    return ad.tanh(r @ w_read + ad.gather_rows(k @ w_key + b_f, np.asarray(ids) + 1))
+    w_read = ad.gather_rows(w_f, np.arange(d))
+    w_key = ad.gather_rows(w_f, np.arange(d, 2 * d))
+    return ad.tanh(r @ w_read + ad.gather_rows(k @ w_key + b_f, ids))
 
 
 def column_readout_chain(h: Tensor, w: Tensor, b: Tensor, q) -> Tensor:
@@ -93,9 +93,9 @@ def column_readout_chain(h: Tensor, w: Tensor, b: Tensor, q) -> Tensor:
 
 
 def _clamp_pad(ids):
-    # padding id 0 is out of range for the 1-based tables; every use of the
-    # dummy row is masked out of the loss and the memory writes
-    return np.where(ids >= 1, ids, 1)
+    """The 0-based table rows of 1-based ids.  Padding id 0 reads row 0 as a
+    dummy; every use of it is masked out of the loss and the memory writes."""
+    return np.maximum(ids - 1, 0)
 
 
 def forward_sequence(params: DkvmnParams, batch) -> OracleOutputs:
@@ -155,8 +155,7 @@ def forward_dkt(params: DktParams, batch) -> OracleOutputs:
         c = ad.mul(f_g, c) + ad.mul(i_g, g_g)
         h = ad.mul(o_g, ad.tanh(c))
         y = ad.sigmoid(h @ params.W_y + params.b_y)
-        next_q = _clamp_pad(batch.q_ids[:, t + 1]) - 1
-        p_cols.append(ad.take_per_row(y, next_q))
+        p_cols.append(ad.take_per_row(y, _clamp_pad(batch.q_ids[:, t + 1])))
 
     prob = ad.concat_cols(*p_cols)
     pred_mask = batch.mask.copy()
@@ -174,7 +173,7 @@ def forward(params, batch) -> OracleOutputs:
 def sequence_loss(outputs: OracleOutputs) -> Tensor:
     """Summed cross-entropy over the scored cells of the B x L grid."""
     return ad.binary_cross_entropy(outputs.prob_tensor, outputs.answers,
-                                   outputs.pred_mask, eps=PROB_EPS)
+                                   outputs.pred_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def fit_logistic_dense(features, design, l2=baselines.L2_PENALTY,
 
 
 def build_pfa_features_loop(seqs):
-    """Prior success/failure counts kept in a dict per student, step by step."""
+    """Prior success/failure counts kept in a dict per sequence, step by step."""
     skill, succ, fail, label = [], [], [], []
     for seq in seqs:
         counts = {}

@@ -128,12 +128,12 @@ class TestSoftmaxRows:
 class TestGatherRows:
     def test_single_row_table(self):
         table = Tensor([[1.0, 2.0, 3.0]])
-        out = ad.gather_rows(table, [1])
+        out = ad.gather_rows(table, [0])
         np.testing.assert_array_equal(out.data, table.data)
 
     def test_repeated_ids_accumulate(self, rng):
         table = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        out = ad.gather_rows(table, [2, 2])
+        out = ad.gather_rows(table, [1, 1])
         g = rng.normal(size=(2, 4))
         loss = sum_all(ad.mul(out, Tensor(g)))
         backward(loss)
@@ -142,18 +142,20 @@ class TestGatherRows:
 
     def test_scatter_matches_loop_oracle(self, rng):
         table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        ids = rng.integers(1, 7, size=10)
+        ids = rng.integers(0, 6, size=10)
         out = ad.gather_rows(table, ids)
         g = rng.normal(size=(10, 3))
         backward(sum_all(ad.mul(out, Tensor(g))))
         expected = np.zeros((6, 3))
         for row, i in enumerate(ids):
-            expected[i - 1] += g[row]
+            expected[i] += g[row]
         np.testing.assert_allclose(table.grad, expected)
 
     def test_out_of_range_id_reported(self):
-        with pytest.raises(IndexError, match="9"):
-            ad.gather_rows(Tensor(np.zeros((4, 2))), [1, 9])
+        for bad in (-1, 4):
+            with pytest.raises(ad.IndexOutOfRangeError,
+                               match=rf"gather_rows id {bad} outside \[0, 4\)"):
+                ad.gather_rows(Tensor(np.zeros((4, 2))), [0, bad])
 
 
 class TestConcatCols:
@@ -476,7 +478,7 @@ class TestTableIds:
         for t in params:
             t.zero_grad()
         if gathered:
-            tables = [ad.gather_rows(t, ids + 1) for t in tables]
+            tables = [ad.gather_rows(t, ids) for t in tables]
             ids = np.arange(len(ids))
         backward(scalar_loss(ad.mul(scan(tables, ids), Tensor(target))))
         return [t.grad.copy() for t in params]
@@ -577,7 +579,7 @@ class TestFactorTables:
             return ad.memory_scan(start, *tables, ids, lengths)
 
         on_tables = scan((w, e, a), ids)
-        per_block = scan([ad.gather_rows(t, ids + 1) for t in (w, e, a)], np.arange(S))
+        per_block = scan([ad.gather_rows(t, ids) for t in (w, e, a)], np.arange(S))
         np.testing.assert_array_equal(on_tables.data, per_block.data)
         const_mem0 = Tensor(mem0.data)
         np.testing.assert_array_equal(
@@ -910,11 +912,11 @@ class TestFusedHeads:
         return ad.summary_layer, inputs, rng.integers(0, self.P - 1, size=S)
 
     def readout(self, rng, S=None):
-        """(h, w, b) and each cell's 1-based question; question Q is unasked."""
+        """(h, w, b) and each cell's 0-based column; column Q - 1 is unread."""
         S = self.S if S is None else S
         sizes = [(S, self.hs), (self.hs, self.Q), (1, self.Q)]
         inputs = [Tensor(rng.normal(size=size), requires_grad=True) for size in sizes]
-        return ad.column_readout, inputs, rng.integers(1, self.Q, size=S)
+        return ad.column_readout, inputs, rng.integers(0, self.Q - 1, size=S)
 
     HEADS = {"summary_layer": summary, "column_readout": readout}
 
@@ -1012,10 +1014,13 @@ class TestFusedHeads:
             op(*inputs, ids[1:])
         with pytest.raises(ShapeMismatchError):
             op(Tensor(inputs[0].data[:, 1:]), *inputs[1:], ids)
-        bad = ids.copy()
-        bad[3] = self.P if head == "summary_layer" else self.Q + 1
-        with pytest.raises(ad.IndexOutOfRangeError, match=f"id {bad[3]} outside"):
-            op(*inputs, bad)
+        rows = self.P if head == "summary_layer" else self.Q
+        for bad_id in (-1, rows):
+            bad = ids.copy()
+            bad[3] = bad_id
+            with pytest.raises(ad.IndexOutOfRangeError,
+                               match=rf"{head} id {bad_id} outside \[0, {rows}\)"):
+                op(*inputs, bad)
 
 
 class TestGradientOwnership:
@@ -1039,7 +1044,7 @@ class TestGradientOwnership:
 
         monkeypatch.setattr(ad, "_sum_onto_rows", recording)
         table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        backward(sum_all(ad.gather_rows(table, [2, 2, 4])))
+        backward(sum_all(ad.gather_rows(table, [1, 1, 3])))
         assert table.grad is made[0]
 
     # op, then the shapes of its inputs

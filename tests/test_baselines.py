@@ -164,6 +164,19 @@ class TestBuildPfaFeatures:
         np.testing.assert_array_equal(feats.successes, [0, 0])
         np.testing.assert_array_equal(feats.failures, [0, 0])
 
+    def test_counts_restart_per_sequence_but_first_attempts_span_a_student(self):
+        # two sequences of one student: PFA counts only the earlier steps of
+        # the same sequence, while first_attempts groups by student_id
+        seqs = [seq("s", [(1, 1), (1, 0)]), seq("s", [(1, 0), (2, 1)])]
+        feats = build_pfa_features(data(seqs))
+        np.testing.assert_array_equal(feats.successes, [0, 1, 0, 0])
+        np.testing.assert_array_equal(feats.failures, [0, 0, 0, 0])
+        loop = oracle.build_pfa_features_loop(seqs)
+        np.testing.assert_array_equal(loop.successes, feats.successes)
+        np.testing.assert_array_equal(loop.failures, feats.failures)
+        assert_same_attempts(first_attempts(data(seqs)),
+                             attempts([("s", 1, 1), ("s", 2, 1)]))
+
     def test_matches_brute_force_oracle(self, rng):
         seqs = []
         for i in range(5):

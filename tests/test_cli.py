@@ -166,6 +166,17 @@ class TestSettingFlags:
              "--out", "m.json", "--" + field.name.replace("_", "-"), str(value)])
         assert getattr(cli._load_config(args), field.name) == value
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field", ["lr", "init_std", "clip_norm"])
+    def test_non_finite_float_setting_exits_1(self, tmp_path, data_file, capsys,
+                                              field, value):
+        ckpt = tmp_path / "m.json"
+        code = main(["train", "--data", data_file, "--out", str(ckpt),
+                     "--" + field.replace("_", "-"), value] + FAST)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        assert not ckpt.exists()
+
     def test_feature_dim_reaches_checkpoint(self, tmp_path, data_file):
         ckpt = tmp_path / "m.json"
         assert main(["train", "--data", data_file, "--out", str(ckpt),
@@ -319,7 +330,10 @@ class TestExports:
          ", line 3: could not convert string to float: 'abc'"),
         (b"question_id,source,difficulty\n1,irt\n", ", line 2: "),
         (b"question_id,source,difficulty\n1,\xe9,0.5\n", " is not UTF-8"),
-    ], ids=["no_source_column", "bad_difficulty", "short_row", "not_utf8"])
+        (b"question_id,source,difficulty\n1,irt,0.5\n2,irt,nan\n",
+         ", line 3: difficulty nan is not finite"),
+        (b"question_id,source,difficulty\n1,irt,-inf\n", ", line 2: difficulty -inf is not finite"),
+    ], ids=["no_source_column", "bad_difficulty", "short_row", "not_utf8", "nan", "minus_inf"])
     def test_bad_join_csv_exits_1(self, tmp_path, ckpt, capsys, text, message):
         join = tmp_path / "join.csv"
         join.write_bytes(text)
@@ -378,6 +392,19 @@ class TestExports:
                      "--out", str(tmp_path / "d.csv")])
         assert code == 1
         assert f"lacks '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_checkpoint_array_exits_1(self, tmp_path, ckpt, capsys, value):
+        doc = json.loads(Path(ckpt).read_text())
+        doc["arrays"]["W_beta"][2][0] = value     # written as NaN or Infinity
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "d.csv"
+        code = main(["export-difficulty", "--ckpt", str(broken), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: checkpoint {broken}: array W_beta "
+                                           "holds a value that is not finite\n")
+        assert not out.exists()
 
     def test_dkt_checkpoint_difficulty_exits_1(self, tmp_path, data_file):
         path = tmp_path / "dkt.json"
